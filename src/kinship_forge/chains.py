@@ -9,6 +9,7 @@ a simple path whose fold rederives the target.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +21,7 @@ from .familygraph import (
     close_graph,
     generate_backbone,
 )
-from .ontology import Atom, Gender, Predicate, Rule, RuleBase, default_rulebase
+from .ontology import Atom, Predicate, Rule, RuleBase, default_rulebase
 
 
 @dataclass(frozen=True)
@@ -34,20 +35,10 @@ class TargetFact:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One expansion: chain fact at fact_index was split at midpoint."""
-
-    fact_index: int
-    rule: Rule
-    midpoint: int
-
-
-@dataclass(frozen=True)
 class ReasoningChain:
     target: TargetFact
     facts: tuple[Fact, ...]
     atoms: tuple[Atom, ...]
-    trace: tuple[TraceStep, ...]
 
     @property
     def k(self) -> int:
@@ -114,7 +105,6 @@ def backward_chain(
     for _ in range(max_restarts):
         facts = [target.as_fact()]
         on_path = {target.head, target.tail}
-        trace: list[TraceStep] = []
         while len(facts) < k:
             index = rng.randrange(len(facts))
             fact = facts[index]
@@ -139,83 +129,31 @@ def backward_chain(
                 Fact(z, fact.dst, rule.body[1]),
             ]
             on_path.add(z)
-            trace.append(TraceStep(index, rule, z))
         if len(facts) == k:
-            return ReasoningChain(target, tuple(facts), _atoms_of(g, tuple(facts)), tuple(trace))
+            return ReasoningChain(target, tuple(facts), _atoms_of(g, tuple(facts)))
     raise UnexpandableError(
         f"no length-{k} expansion of {target} within {max_restarts} restarts"
     )
 
 
-def replay_trace(
-    target: TargetFact, trace: tuple[TraceStep, ...], rb: RuleBase | None = None
-) -> tuple[Fact, ...]:
-    """Rebuild the chain from its trace, validating every step."""
-    if rb is None:
-        rb = default_rulebase()
-    facts = [target.as_fact()]
-    on_path = {target.head, target.tail}
-    for step in trace:
-        fact = facts[step.fact_index]
-        if rb.compose(*step.rule.body) is not fact.pred:
-            raise ConfigError(f"trace step {step} does not derive {fact}")
-        if step.midpoint in on_path:
-            raise ConfigError(f"trace step {step} revisits entity {step.midpoint}")
-        facts[step.fact_index : step.fact_index + 1] = [
-            Fact(fact.src, step.midpoint, step.rule.body[0]),
-            Fact(step.midpoint, fact.dst, step.rule.body[1]),
-        ]
-        on_path.add(step.midpoint)
-    return tuple(facts)
+def _simple_paths(
+    g: KinshipGraph, start: int, max_len: int, stop: frozenset[int]
+) -> Iterator[tuple[Fact, ...]]:
+    """Simple directed paths of 1..max_len edges out of start.
 
+    A vertex in stop may end a path but never lies inside one.
+    """
 
-def _paths_between(
-    g: KinshipGraph,
-    start: int,
-    goal: int,
-    min_len: int,
-    max_len: int,
-    banned_interior: set[int],
-    banned_pairs: set[frozenset[int]],
-) -> list[tuple[Fact, ...]]:
-    """Simple directed start -> goal paths with banned interiors and edges."""
-    found: list[tuple[Fact, ...]] = []
-
-    def dfs(node: int, facts: tuple[Fact, ...], visited: frozenset[int]) -> None:
-        for nxt, pred in sorted(g.out_of(node).items()):
-            if nxt in visited or frozenset((node, nxt)) in banned_pairs:
-                continue
-            fact = Fact(node, nxt, pred)
-            if nxt == goal:
-                if len(facts) + 1 >= min_len:
-                    found.append(facts + (fact,))
-                continue
-            if nxt in banned_interior or len(facts) + 1 >= max_len:
-                continue
-            dfs(nxt, facts + (fact,), visited | {nxt})
-
-    dfs(start, (), frozenset((start,)))
-    return found
-
-
-def _paths_from(
-    g: KinshipGraph, start: int, min_len: int, max_len: int, banned: set[int]
-) -> list[tuple[Fact, ...]]:
-    """Simple directed paths out of start avoiding banned vertices."""
-    found: list[tuple[Fact, ...]] = []
-
-    def dfs(node: int, facts: tuple[Fact, ...], visited: frozenset[int]) -> None:
-        for nxt, pred in sorted(g.out_of(node).items()):
-            if nxt in visited or nxt in banned:
+    def extend(node: int, facts: tuple[Fact, ...], visited: frozenset[int]):
+        for nxt, pred in g.out_of(node).items():
+            if nxt in visited:
                 continue
             path = facts + (Fact(node, nxt, pred),)
-            if len(path) >= min_len:
-                found.append(path)
-            if len(path) < max_len:
-                dfs(nxt, path, visited | {nxt})
+            yield path
+            if len(path) < max_len and nxt not in stop:
+                yield from extend(nxt, path, visited | {nxt})
 
-    dfs(start, (), frozenset((start,)))
-    return found
+    return extend(start, (), frozenset((start,)))
 
 
 def _pick_path(
@@ -245,21 +183,19 @@ def sample_supporting_noise(
         raise ConfigError("supporting noise requires a chain of length >= 2")
     rng = random.Random(seed)
     vertices = chain.vertices
-    on_chain = set(vertices)
-    chain_pairs = {frozenset((f.src, f.dst)) for f in chain.facts}
+    on_chain = frozenset(vertices)
     index_pairs = [
         (i, j) for i in range(len(vertices)) for j in range(i + 1, len(vertices))
     ]
+    # a path of >= 2 edges whose interior leaves the chain has an
+    # off-chain endpoint on every edge, so it never reuses a chain edge
+    routes: dict[int, list[tuple[Fact, ...]]] = {}
     for i, j in rng.sample(index_pairs, len(index_pairs)):
-        candidates = _paths_between(
-            g,
-            vertices[i],
-            vertices[j],
-            min_len=2,
-            max_len=3,
-            banned_interior=on_chain,
-            banned_pairs=chain_pairs,
-        )
+        if i not in routes:
+            routes[i] = [
+                p for p in _simple_paths(g, vertices[i], 3, on_chain) if len(p) >= 2
+            ]
+        candidates = [p for p in routes[i] if p[-1].dst == vertices[j]]
         if candidates:
             facts = _pick_path(rng, candidates)
             return NoisePath(NoiseKind.SUPPORTING, facts, _atoms_of(g, facts))
@@ -278,11 +214,13 @@ def sample_irrelevant_noise(
     rng = random.Random(seed)
     endpoints = [chain.vertices[0], chain.vertices[-1]]
     anchor = rng.choice(endpoints)
-    on_chain = set(chain.vertices)
+    on_chain = frozenset(chain.vertices)
     for candidate_anchor in (anchor, *(e for e in endpoints if e != anchor)):
-        candidates = _paths_from(
-            g, candidate_anchor, min_len=1, max_len=3, banned=on_chain
-        )
+        candidates = [
+            p
+            for p in _simple_paths(g, candidate_anchor, 3, on_chain)
+            if p[-1].dst not in on_chain
+        ]
         if candidates:
             facts = _pick_path(rng, candidates)
             return NoisePath(NoiseKind.IRRELEVANT, facts, _atoms_of(g, facts))
@@ -314,7 +252,7 @@ def sample_disconnected_noise(
             continue
         starts = sorted(closed.entities)
         for start in rng.sample(starts, len(starts)):
-            candidates = _paths_from(closed, start, min_len=1, max_len=3, banned=set())
+            candidates = list(_simple_paths(closed, start, 3, frozenset()))
             if candidates:
                 facts = _pick_path(rng, candidates)
                 return (

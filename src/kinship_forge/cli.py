@@ -46,7 +46,7 @@ from .ontology import (
     shape_keys,
 )
 from .narrative import Naming, load_bank, synth_bank
-from .solver import solve
+from .solver import MAX_PATH_LEN, solve
 
 log = logging.getLogger("kinship_forge")
 
@@ -71,22 +71,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_ks(text: str) -> tuple[int, ...]:
-    """Accept comma lists and dash ranges: "2,3", "2-10", "2,4-6"."""
+    """Accept comma lists and dash ranges: "2,3", "2-10", "2,4-6".
+
+    A value above the solver's path cap is rejected before its range is
+    expanded.
+    """
     ks: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        m = re.fullmatch(r"(\d+)-(\d+)", part)
-        if m:
-            lo, hi = int(m.group(1)), int(m.group(2))
-            if lo > hi:
-                raise ConfigError(f"empty k range {part!r}")
-            ks.extend(range(lo, hi + 1))
-        elif part.isdigit():
-            ks.append(int(part))
-        else:
+        m = re.fullmatch(r"(\d+)(?:-(\d+))?", part)
+        if m is None:
             raise ConfigError(f"cannot parse k value {part!r}")
+        try:
+            lo, hi = int(m.group(1)), int(m.group(2) or m.group(1))
+        except ValueError:  # more digits than int() converts: far above the cap
+            lo = hi = MAX_PATH_LEN + 1
+        if lo > hi:
+            raise ConfigError(f"empty k range {part!r}")
+        if hi > MAX_PATH_LEN:
+            raise ConfigError(f"k {part[:20]!r} exceeds the solver's path cap {MAX_PATH_LEN}")
+        ks.extend(range(lo, hi + 1))
     if not ks:
         raise ConfigError(f"no k values in {text!r}")
     return tuple(ks)

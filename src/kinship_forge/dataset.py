@@ -12,17 +12,17 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .chains import (
     NoiseKind,
     NoisePath,
-    ReasoningChain,
     backward_chain,
     sample_disconnected_noise,
     sample_irrelevant_noise,
@@ -58,10 +58,11 @@ from .narrative import (
     render_story,
     split_bank,
 )
-from .ontology import RuleBase, default_rulebase, enumerate_shapes, shape_id, shape_keys, surface
-from .solver import solve
+from .ontology import (
+    Gender, RuleBase, default_rulebase, enumerate_shapes, shape_id, shape_keys, surface
+)
+from .solver import MAX_PATH_LEN, solve
 
-_MAIN_PARAMS = BackboneParams()
 _NOISE_WORLD_PARAMS = BackboneParams(generations=2, max_children=3)
 _NOISE_ID_OFFSET = 10_000
 
@@ -94,6 +95,10 @@ class SplitConfig:
                 raise ConfigError(f"{label} contains duplicates")
             if any(k < 1 for k in ks):
                 raise ConfigError(f"{label} entries must be >= 1")
+            if any(k > MAX_PATH_LEN for k in ks):
+                raise ConfigError(
+                    f"{label} entries must be <= {MAX_PATH_LEN}, the solver's path cap"
+                )
         for label, frac in (
             ("template_holdout_frac", self.template_holdout_frac),
             ("shape_holdout_frac", self.shape_holdout_frac),
@@ -169,24 +174,7 @@ class PuzzleRecord:
     seed: int
 
 
-COLUMNS = (
-    "id",
-    "split",
-    "k",
-    "label",
-    "query_head",
-    "query_tail",
-    "story",
-    "genders",
-    "facts",
-    "noise_facts",
-    "noise_kind",
-    "shape_id",
-    "shape_held_out",
-    "template_ids",
-    "proof_trace",
-    "seed",
-)
+COLUMNS = tuple(f.name for f in fields(PuzzleRecord))
 
 
 def _prepare_bank(bank: TemplateBank, cfg: SplitConfig) -> TemplateBank:
@@ -242,162 +230,155 @@ _RETRYABLE = (
 )
 
 
-def _sample_noise(
-    g: KinshipGraph,
-    chain: ReasoningChain,
-    kind: NoiseKind,
-    seed: int,
-    rb: RuleBase,
-) -> tuple[NoisePath, KinshipGraph | None]:
-    if kind is NoiseKind.SUPPORTING:
-        return sample_supporting_noise(g, chain, seed), None
-    if kind is NoiseKind.IRRELEVANT:
-        return sample_irrelevant_noise(g, chain, seed), None
-    params = BackboneParams(
-        _NOISE_WORLD_PARAMS.generations,
-        _NOISE_WORLD_PARAMS.max_children,
-        _NOISE_WORLD_PARAMS.p_marry,
-        derive_seed(seed, "noise-world"),
-    )
-    return sample_disconnected_noise(params, seed, id_offset=_NOISE_ID_OFFSET, rb=rb)
+@dataclass(frozen=True)
+class RowGenerator:
+    """The per-row pipeline: backbone, closure, target, backward chain,
+    noise, story, certify; retried until the solver certifies a row.
 
+    `held` maps each train k to its held-out shape ids; `pool` is the
+    name pool, None under cloze naming.
+    """
 
-def _generate_row(
-    cfg: SplitConfig,
-    bank: TemplateBank,
-    held_out: frozenset[str],
-    split: str,
-    k: int,
-    index: int,
-    rb: RuleBase,
-) -> PuzzleRecord:
-    row_seed = derive_seed(cfg.master_seed, split, k, index)
-    noise_kind = cfg.noise_for(split)
-    bank_split = Split.TRAIN if split == "train" else Split.TEST
-    last_error: Exception | None = None
-    for attempt in range(cfg.max_row_attempts):
-        try:
-            record = _attempt_row(
-                cfg, bank, held_out, split, k, index, rb,
-                row_seed, attempt, noise_kind, bank_split,
-            )
-        except _RETRYABLE as exc:
-            last_error = exc
-            continue
-        if record is not None:
-            return record
-    raise GenerationBudgetError(
-        f"row {split}/k={k}/i={index}: no certified puzzle in "
-        f"{cfg.max_row_attempts} attempts (last error: {last_error})"
-    )
+    cfg: SplitConfig
+    bank: TemplateBank
+    held: dict[int, frozenset[str]]
+    rb: RuleBase
+    pool: tuple[tuple[str, Gender], ...] | None
 
-
-def _attempt_row(
-    cfg: SplitConfig,
-    bank: TemplateBank,
-    held_out: frozenset[str],
-    split: str,
-    k: int,
-    index: int,
-    rb: RuleBase,
-    row_seed: int,
-    attempt: int,
-    noise_kind: NoiseKind | None,
-    bank_split: Split,
-) -> PuzzleRecord | None:
-    g = close_graph(
-        generate_backbone(
-            BackboneParams(seed=derive_seed(row_seed, attempt, "backbone"))
-        ),
-        rb,
-    )
-    target = sample_target(g, derive_seed(row_seed, attempt, "target"))
-    chain = backward_chain(g, target, k, derive_seed(row_seed, attempt, "chain"), rb)
-    sid = shape_id(chain.atoms)
-    if split == "train" and sid in held_out:
-        return None
-    noise_paths: list[NoisePath] = []
-    noise_world: KinshipGraph | None = None
-    if noise_kind is not None:
-        noise_path, noise_world = _sample_noise(
-            g, chain, noise_kind, derive_seed(row_seed, attempt, "noise"), rb
+    def __call__(self, spec: tuple[str, int, int]) -> PuzzleRecord:
+        split, k, index = spec
+        row_seed = derive_seed(self.cfg.master_seed, split, k, index)
+        last_error: Exception | None = None
+        for attempt in range(self.cfg.max_row_attempts):
+            try:
+                record = self._attempt(split, k, index, row_seed, attempt)
+            except _RETRYABLE as exc:
+                last_error = exc
+                continue
+            if record is not None:
+                return record
+        raise GenerationBudgetError(
+            f"row {split}/k={k}/i={index}: no certified puzzle in "
+            f"{self.cfg.max_row_attempts} attempts (last error: {last_error})"
         )
-        noise_paths.append(noise_path)
-    entities = dict(g.entities)
-    if cfg.naming is Naming.NAMES:
-        pool = default_name_pool()
-        named = assign_names(g, pool, derive_seed(row_seed, attempt, "names"))
-        entities = dict(named.entities)
-        if noise_world is not None:
-            used = {e.name for e in named.entities.values()}
-            rest = tuple(p for p in pool if p[0] not in used)
-            named_world = assign_names(
-                noise_world, rest, derive_seed(row_seed, attempt, "noise-names")
-            )
-            entities.update(named_world.entities)
-    elif noise_world is not None:
-        entities.update(noise_world.entities)
-    rendered = render_story(
-        chain,
-        noise_paths,
-        bank,
-        entities,
-        split=bank_split,
-        naming=cfg.naming,
-        seed=derive_seed(row_seed, attempt, "render"),
-    )
-    token_of = rendered.entity_mentions
-    genders_by_id = {i: entities[i].gender for i in token_of}
-    name_of = token_of.__getitem__
-    query = (target.head, target.tail)
-    base = solve(chain.facts, query, genders_by_id, rb, name_of=name_of)
-    if base.predicate is not target.pred:
-        return None
-    noise_facts = tuple(f for np in noise_paths for f in np.facts)
-    if noise_facts:
-        full = solve(
-            chain.facts + noise_facts, query, genders_by_id, rb, name_of=name_of
+
+    def _attempt(
+        self, split: str, k: int, index: int, row_seed: int, attempt: int
+    ) -> PuzzleRecord | None:
+        rb = self.rb
+        g = close_graph(
+            generate_backbone(
+                BackboneParams(seed=derive_seed(row_seed, attempt, "backbone"))
+            ),
+            rb,
         )
-        if full.predicate is not target.pred:
+        target = sample_target(g, derive_seed(row_seed, attempt, "target"))
+        chain = backward_chain(g, target, k, derive_seed(row_seed, attempt, "chain"), rb)
+        sid = shape_id(chain.atoms)
+        held_out = self.held.get(k, frozenset())
+        if split == "train" and sid in held_out:
             return None
-    label = surface(target.pred, genders_by_id[target.tail])
-    return PuzzleRecord(
-        id=f"{split}-k{k}-{index:05d}",
-        split=split,
-        k=k,
-        label=label,
-        query_head=token_of[target.head],
-        query_tail=token_of[target.tail],
-        story=rendered.text,
-        genders={token_of[i]: genders_by_id[i].value for i in token_of},
-        facts=tuple(
-            f"{f.pred.value}({token_of[f.src]},{token_of[f.dst]})" for f in chain.facts
-        ),
-        noise_facts=tuple(
-            f"{f.pred.value}({token_of[f.src]},{token_of[f.dst]})" for f in noise_facts
-        ),
-        noise_kind=noise_kind.value if noise_kind else None,
-        shape_id=sid,
-        shape_held_out=sid in held_out,
-        template_ids=rendered.template_ids,
-        proof_trace=base.proof,
-        seed=row_seed,
-    )
+        noise_kind = self.cfg.noise_for(split)
+        noise_paths: list[NoisePath] = []
+        noise_world: KinshipGraph | None = None
+        if noise_kind is not None:
+            noise_seed = derive_seed(row_seed, attempt, "noise")
+            if noise_kind is NoiseKind.SUPPORTING:
+                noise_paths.append(sample_supporting_noise(g, chain, noise_seed))
+            elif noise_kind is NoiseKind.IRRELEVANT:
+                noise_paths.append(sample_irrelevant_noise(g, chain, noise_seed))
+            else:
+                noise_path, noise_world = sample_disconnected_noise(
+                    _NOISE_WORLD_PARAMS, noise_seed, id_offset=_NOISE_ID_OFFSET, rb=rb
+                )
+                noise_paths.append(noise_path)
+        entities = dict(g.entities)
+        if self.pool is not None:
+            named = assign_names(g, self.pool, derive_seed(row_seed, attempt, "names"))
+            entities = dict(named.entities)
+            if noise_world is not None:
+                used = {e.name for e in named.entities.values()}
+                rest = tuple(p for p in self.pool if p[0] not in used)
+                named_world = assign_names(
+                    noise_world, rest, derive_seed(row_seed, attempt, "noise-names")
+                )
+                entities.update(named_world.entities)
+        elif noise_world is not None:
+            entities.update(noise_world.entities)
+        rendered = render_story(
+            chain,
+            noise_paths,
+            self.bank,
+            entities,
+            split=Split.TRAIN if split == "train" else Split.TEST,
+            naming=self.cfg.naming,
+            seed=derive_seed(row_seed, attempt, "render"),
+        )
+        token_of = rendered.entity_mentions
+        genders_by_id = {i: entities[i].gender for i in token_of}
+        name_of = token_of.__getitem__
+        query = (target.head, target.tail)
+        base = solve(chain.facts, query, genders_by_id, rb, name_of=name_of)
+        if base.predicate is not target.pred:
+            return None
+        noise_facts = tuple(f for np in noise_paths for f in np.facts)
+        if noise_facts:
+            full = solve(
+                chain.facts + noise_facts, query, genders_by_id, rb, name_of=name_of
+            )
+            if full.predicate is not target.pred:
+                return None
+        label = surface(target.pred, genders_by_id[target.tail])
+        return PuzzleRecord(
+            id=f"{split}-k{k}-{index:05d}",
+            split=split,
+            k=k,
+            label=label,
+            query_head=token_of[target.head],
+            query_tail=token_of[target.tail],
+            story=rendered.text,
+            genders={token_of[i]: genders_by_id[i].value for i in token_of},
+            facts=tuple(
+                f"{f.pred.value}({token_of[f.src]},{token_of[f.dst]})" for f in chain.facts
+            ),
+            noise_facts=tuple(
+                f"{f.pred.value}({token_of[f.src]},{token_of[f.dst]})" for f in noise_facts
+            ),
+            noise_kind=noise_kind.value if noise_kind else None,
+            shape_id=sid,
+            shape_held_out=sid in held_out,
+            template_ids=rendered.template_ids,
+            proof_trace=base.proof,
+            seed=row_seed,
+        )
 
 
-_WORKER: dict = {}
+# each pool worker's RowGenerator, sent once by the pool initializer
+# rather than pickled with every chunk of specs
+_worker_rows: RowGenerator | None = None
 
 
-def _init_worker(cfg: SplitConfig, bank: TemplateBank, held: dict, rb: RuleBase) -> None:
-    _WORKER.update(cfg=cfg, bank=bank, held=held, rb=rb)
+def _start_worker(rows: RowGenerator) -> None:
+    global _worker_rows
+    _worker_rows = rows
 
 
-def _row_task(spec: tuple[str, int, int]) -> PuzzleRecord:
-    split, k, index = spec
-    held = _WORKER["held"].get(k, frozenset())
-    return _generate_row(
-        _WORKER["cfg"], _WORKER["bank"], held, split, k, index, _WORKER["rb"]
-    )
+def _worker_row(spec: tuple[str, int, int]) -> PuzzleRecord:
+    return _worker_rows(spec)
+
+
+def _worker_count(jobs: int, n_specs: int, cpus: int) -> int:
+    """Workers worth starting: no more than the specs or the usable CPUs."""
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    return max(1, min(jobs, n_specs, cpus))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def generate_dataset(
@@ -420,19 +401,19 @@ def generate_dataset(
     specs = [
         ("train", k, i) for k in sorted(cfg.train_ks) for i in range(cfg.n_train_per_k)
     ] + [("test", k, i) for k in sorted(cfg.test_ks) for i in range(cfg.n_test_per_k)]
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if jobs == 1 or len(specs) < 2:
-        _init_worker(cfg, prepared, held, rb)
-        rows = [_row_task(spec) for spec in specs]
+    workers = _worker_count(jobs, len(specs), _usable_cpus())
+    pool = default_name_pool() if cfg.naming is Naming.NAMES else None
+    generator = RowGenerator(cfg, prepared, held, rb, pool)
+    if workers == 1:
+        rows = [generator(spec) for spec in specs]
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(cfg, prepared, held, rb),
-        ) as pool:
-            chunk = max(1, len(specs) // (jobs * 8))
-            rows = list(pool.map(_row_task, specs, chunksize=chunk))
+            max_workers=workers,
+            initializer=_start_worker,
+            initargs=(generator,),
+        ) as executor:
+            chunk = max(1, len(specs) // (workers * 8))
+            rows = list(executor.map(_worker_row, specs, chunksize=chunk))
     train = [r for r in rows if r.split == "train"]
     test = [r for r in rows if r.split == "test"]
     manifest = build_manifest(cfg, prepared, rb, held, train, test)
@@ -520,7 +501,7 @@ def _decode_cell(column: str, raw: str) -> object:
         return tuple(value) if isinstance(value, list) else value
     if column == "shape_held_out":
         if raw not in ("true", "false"):
-            raise SchemaError(f"shape_held_out must be true/false, got {raw!r}")
+            raise ValueError(f"shape_held_out must be true/false, got {raw!r}")
         return raw == "true"
     if column == "noise_kind":
         return raw or None
@@ -578,13 +559,26 @@ def read_rows(path: str | Path) -> list[PuzzleRecord]:
                 raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
             index = {c: header.index(c) for c in COLUMNS}
             for lineno, cells in enumerate(reader, 2):
-                obj = {c: _decode_cell(c, cells[index[c]]) for c in COLUMNS}
-                rows.append(_record_from_mapping(obj, f"{path}:{lineno}"))
+                origin = f"{path}:{lineno}"
+                if len(cells) != len(header):
+                    raise SchemaError(f"{origin}: {len(cells)} cells for {len(header)} columns")
+                try:
+                    obj = {c: _decode_cell(c, cells[index[c]]) for c in COLUMNS}
+                except ValueError as exc:  # also JSONDecodeError
+                    raise SchemaError(f"{origin}: {exc}") from None
+                rows.append(_record_from_mapping(obj, origin))
     elif path.suffix == ".jsonl":
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
-            rows.append(_record_from_mapping(json.loads(line), f"{path}:{lineno}"))
+            origin = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise SchemaError(f"{origin}: bad JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise SchemaError(f"{origin}: expected a JSON object")
+            rows.append(_record_from_mapping(obj, origin))
     else:
         raise ConfigError(f"cannot infer format from suffix of {path}")
     return rows

@@ -51,10 +51,6 @@ class InsufficientTemplatesError(KinshipForgeError):
     """A key has too few templates for the requested holdout fraction."""
 
 
-class DisconnectedPathError(KinshipForgeError):
-    """Fact sequence handed to the fold is not a connected edge path."""
-
-
 class NoPathError(KinshipForgeError):
     """No derivable simple path between the query entities."""
 

@@ -264,16 +264,3 @@ def assign_names(
             out.entities[entity_id].name = name
     return out
 
-
-def dump_graph(g: KinshipGraph) -> str:
-    """Stable debug listing: entity table, then `src predicate dst` lines."""
-    lines = [f"# entities ({len(g.entities)})"]
-    for i in sorted(g.entities):
-        e = g.entities[i]
-        name = e.name or "-"
-        lines.append(f"{e.id} {e.gender.value} {name}")
-    lines.append(f"# edges ({g.edge_count})")
-    for fact in g.facts():
-        tag = " backbone" if (fact.src, fact.dst) in g.backbone else ""
-        lines.append(f"{fact.src} {fact.pred.value} {fact.dst}{tag}")
-    return "\n".join(lines)

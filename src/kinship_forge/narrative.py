@@ -175,19 +175,6 @@ def load_bank(path: str | Path, rb: RuleBase | None = None) -> TemplateBank:
     return TemplateBank(templates, provenance=str(path))
 
 
-def save_bank(bank: TemplateBank, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for t in bank.all_templates():
-            record = {
-                "id": t.id,
-                "key": [[p.value, g.value] for p, g in t.key],
-                "text": t.text,
-            }
-            if t.split is not Split.UNSPLIT:
-                record["split"] = t.split.value
-            fh.write(json.dumps(record) + "\n")
-
-
 _VARIANT_PATTERNS = (
     "[ENT_{b}] is the {rel} of [ENT_{a}].",
     "The {rel} of [ENT_{a}] is [ENT_{b}].",
@@ -262,14 +249,6 @@ def _partitions(length: int) -> list[tuple[int, ...]]:
     return out
 
 
-def partition_chain(
-    atoms: Sequence[Atom], bank: TemplateBank, seed: int = 0
-) -> list[tuple[Atom, ...]]:
-    """Uniform draw over partitions whose segment keys the bank covers."""
-    rng = random.Random(seed)
-    return _partition_with(rng, tuple(atoms), bank)
-
-
 def _partition_with(
     rng: random.Random, atoms: tuple[Atom, ...], bank: TemplateBank
 ) -> list[tuple[Atom, ...]]:
@@ -290,9 +269,7 @@ def _partition_with(
 @dataclass(frozen=True)
 class StoryRender:
     text: str
-    sentence_spans: tuple[tuple[int, int], ...]
     entity_mentions: dict[int, str]
-    anonymized: bool
     template_ids: tuple[str, ...]
 
 
@@ -380,17 +357,8 @@ def render_story(
                 sentences.extend(block)
         if boundary < len(main_sentences):
             sentences.append(main_sentences[boundary])
-    text = " ".join(sentences)
-    spans = []
-    cursor = 0
-    for sentence in sentences:
-        start = text.index(sentence, cursor)
-        spans.append((start, start + len(sentence)))
-        cursor = start + len(sentence)
     return StoryRender(
-        text=text,
-        sentence_spans=tuple(spans),
+        text=" ".join(sentences),
         entity_mentions={v: token_of[v] for v in story_entities},
-        anonymized=naming is Naming.CLOZE,
         template_ids=tuple(template_ids),
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import AmbiguousAnswerError, DisconnectedPathError, NoPathError
+from .errors import AmbiguousAnswerError, NoPathError
 from .familygraph import Fact
 from .ontology import (
     Gender,
@@ -26,6 +26,10 @@ from .ontology import (
 )
 
 SpanTable = dict[tuple[int, int], frozenset[Predicate]]
+
+# longest simple path, in edges, that solve() enumerates; a k-fact chain
+# with k above it can never be certified
+MAX_PATH_LEN = 12
 
 
 def fold_predicates(preds: Sequence[Predicate], rb: RuleBase | None = None) -> frozenset[Predicate]:
@@ -53,33 +57,12 @@ def _span_table(leaf_sets: Sequence[frozenset[Predicate]], rb: RuleBase) -> Span
     return table
 
 
-def cyk_fold(facts: Sequence[Fact], rb: RuleBase | None = None) -> frozenset[Predicate]:
-    """Fold a connected edge path fact[0].src -> ... -> fact[-1].dst."""
-    if not facts:
-        raise DisconnectedPathError("empty fact path")
-    for before, after in zip(facts, facts[1:]):
-        if before.dst != after.src:
-            raise DisconnectedPathError(f"{before} does not connect to {after}")
-    return fold_predicates([f.pred for f in facts], rb)
-
-
 @dataclass(frozen=True)
 class SolveResult:
     predicate: Predicate
     label: str
     path: tuple[Fact, ...]
     proof: str
-
-
-@dataclass(frozen=True)
-class ConfluenceReport:
-    """Per-path derivations for a query over a fact set."""
-
-    paths: int
-    derivable_paths: int
-    predicates: frozenset[Predicate]
-    agree: bool
-    details: tuple[tuple[tuple[int, ...], frozenset[Predicate]], ...]
 
 
 def _augmented(facts: Iterable[Fact]) -> dict[tuple[int, int], frozenset[Predicate]]:
@@ -148,7 +131,7 @@ def solve(
     query: tuple[int, int],
     genders: Mapping[int, Gender],
     rb: RuleBase | None = None,
-    max_path_len: int = 12,
+    max_path_len: int = MAX_PATH_LEN,
     name_of=None,
 ) -> SolveResult:
     """Derive the unique relation label for query = (head, tail).
@@ -192,36 +175,3 @@ def solve(
     )
     return SolveResult(predicate, surface(predicate, genders[goal]), path_facts, proof)
 
-
-def check_confluence(
-    facts: Iterable[Fact],
-    query: tuple[int, int],
-    rb: RuleBase | None = None,
-    max_path_len: int = 12,
-) -> ConfluenceReport:
-    """Fold every simple path independently and report agreement.
-
-    agree is True when at least one path derives something and the union
-    of all derivations is a single predicate.
-    """
-    if rb is None:
-        rb = default_rulebase()
-    pairs = _augmented(tuple(facts))
-    start, goal = query
-    details = []
-    union: set[Predicate] = set()
-    derivable = 0
-    for vertices in _iter_simple_paths(pairs, start, goal, max_path_len):
-        table = _path_fold(vertices, pairs, rb)
-        heads = table[(0, len(vertices) - 1)]
-        if heads:
-            derivable += 1
-            union.update(heads)
-        details.append((vertices, heads))
-    return ConfluenceReport(
-        paths=len(details),
-        derivable_paths=derivable,
-        predicates=frozenset(union),
-        agree=len(union) == 1,
-        details=tuple(details),
-    )

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from kinship_forge.chains import (
     NoiseKind,
     backward_chain,
-    replay_trace,
     sample_disconnected_noise,
     sample_irrelevant_noise,
     sample_supporting_noise,
@@ -94,7 +93,6 @@ def test_backward_chain_structure(rb, seed, k):
         assert g.predicate(src, dst) is fact.pred
     assert chain.atoms == tuple((f.pred, g.gender(f.dst)) for f in chain.facts)
     assert target.pred in fold_predicates([f.pred for f in chain.facts], rb)
-    assert len(chain.trace) == k - 1
 
 
 @pytest.mark.parametrize("seed,k", CASES[:6])
@@ -104,14 +102,12 @@ def test_backward_chain_deterministic_and_replayable(rb, seed, k):
     chain = backward_chain(g, target, k, seed)
     again = backward_chain(g, target, k, seed)
     assert chain == again
-    assert replay_trace(target, chain.trace, rb) == chain.facts
 
 
 def test_backward_chain_k1_is_the_target(closed_world):
     target = sample_target(closed_world, seed=1)
     chain = backward_chain(closed_world, target, 1, seed=1)
     assert chain.facts == (target.as_fact(),)
-    assert chain.trace == ()
 
 
 def test_backward_chain_validates_inputs(closed_world):

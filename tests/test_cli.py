@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -245,6 +247,54 @@ class TestGenerate:
         )
         assert rc == 1
         assert "empty k range" in err
+
+    @pytest.mark.parametrize(
+        "ks", ["13", "2-100000000", pytest.param("9" * 5000, id="5000-digits")]
+    )
+    def test_k_above_path_cap_exits_1_at_once(self, tmp_path, capsys, ks):
+        start = time.perf_counter()
+        rc, _, err = run(capsys, "generate", "--test-ks", ks, "--out", str(tmp_path / "c"))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert "path cap 12" in err
+        assert not (tmp_path / "c").exists()
+
+    # sha256 of two small corpora, one per format, each with a noisy test
+    # split; a change that alters the generated bytes on purpose updates
+    # them and says so
+    PINNED = {
+        "csv": (
+            ("--noise-test", "disconnected"),
+            {
+                "train.csv": "3a1108ce268376fbc8a107ac5236e79951fd9e6d448b4eb6b6c01235f22eabe3",
+                "test.csv": "ed04cab530df552d818f03308a41db4ef51e3f5ff5c02f31702d2e005f58a938",
+                "manifest.json": "1741d1e37617fafc33e216f41d73bd9ff3e539b5f6470e240d7e1ea37c6e2a4e",
+            },
+        ),
+        "jsonl": (
+            ("--noise-test", "supporting", "--naming", "cloze"),
+            {
+                "train.jsonl": "f21326329b10942ed948f7a3659d1778ef16a001989c4868137a1aa7ac39a87f",
+                "test.jsonl": "db2f513c7a2ebd4d13d3cd956e9b5e841b5a7dea4f5c100d65b108fa1df663d7",
+                "manifest.json": "d7261045b540fb2034fb91688505eba8b8af5b930e3dcd72e22dd2783f40b960",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(PINNED))
+    def test_output_bytes_pinned(self, tmp_path, capsys, fmt):
+        flags, expected = self.PINNED[fmt]
+        rc, _, _ = run(
+            capsys, "generate", "--preset", "gen-k23", "--seed", "7", "--test-ks", "2-4",
+            "--n-train", "100", "--n-test", "20", "--format", fmt, *flags,
+            "--out", str(tmp_path),
+        )
+        assert rc == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in expected
+        }
+        assert digests == expected
 
 
 class TestConfigResolution:

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -16,6 +17,7 @@ from kinship_forge.dataset import (
     generate_dataset,
     read_rows,
     write_rows,
+    _worker_count,
 )
 from kinship_forge.errors import ConfigError, SchemaError
 from kinship_forge.narrative import Naming, Split, Template, TemplateBank
@@ -46,6 +48,8 @@ class TestSplitConfig:
             {"train_ks": ()},
             {"train_ks": (2, 2)},
             {"test_ks": (0,)},
+            {"test_ks": (2, 13)},
+            {"train_ks": (13,)},
             {"template_holdout_frac": 1.5},
             {"shape_holdout_frac": -0.1},
             {"n_train_per_k": -1},
@@ -170,6 +174,13 @@ class TestGenerateDataset:
             generate_dataset(SplitConfig(), tri_bank, rb, jobs=0)
 
 
+def test_worker_count_clamps_to_specs_and_cpus():
+    assert _worker_count(100_000, 500, 2) == 2
+    assert _worker_count(8, 3, 16) == 3
+    assert _worker_count(4, 500, 16) == 4
+    assert _worker_count(4, 0, 16) == 1
+
+
 @pytest.mark.parametrize("kind", list(NoiseKind))
 def test_noise_rows(rb, tri_bank, kind):
     cfg = SplitConfig(
@@ -277,6 +288,37 @@ class TestRoundTrip:
         path = tmp_path / "rows.csv"
         path.write_text("")
         with pytest.raises(SchemaError):
+            read_rows(path)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            (None, None),  # truncated row
+            ("facts", "[not json"),
+            ("k", "two"),
+            ("seed", "1.5"),
+        ],
+    )
+    def test_bad_csv_row_names_its_line(self, rows, tmp_path, column, value):
+        path = tmp_path / "rows.csv"
+        write_rows(rows[:2], path, "csv")
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+        if column is None:
+            del table[2][5:]
+        else:
+            table[2][COLUMNS.index(column)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
+        with pytest.raises(SchemaError, match=r"rows\.csv:3: "):
+            read_rows(path)
+
+    @pytest.mark.parametrize("line", ["{not json", "7"])
+    def test_bad_jsonl_line_names_its_line(self, rows, tmp_path, line):
+        path = tmp_path / "rows.jsonl"
+        write_rows(rows[:1], path, "jsonl")
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(SchemaError, match=r"rows\.jsonl:2: "):
             read_rows(path)
 
 

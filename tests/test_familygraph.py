@@ -11,7 +11,6 @@ from kinship_forge.familygraph import (
     assign_names,
     close_graph,
     default_name_pool,
-    dump_graph,
     generate_backbone,
     load_name_pool,
 )
@@ -23,6 +22,10 @@ seeds = st.integers(min_value=0, max_value=10_000)
 
 def closed(seed: int, **kw) -> KinshipGraph:
     return close_graph(generate_backbone(BackboneParams(seed=seed, **kw)))
+
+
+def structure(g: KinshipGraph) -> tuple:
+    return g.facts(), tuple(g.gender(i) for i in sorted(g.entities))
 
 
 def test_params_validation():
@@ -80,13 +83,13 @@ def test_backbone_structure(seed):
 @given(seeds)
 def test_backbone_deterministic(seed):
     params = BackboneParams(seed=seed)
-    assert dump_graph(generate_backbone(params)) == dump_graph(generate_backbone(params))
+    assert structure(generate_backbone(params)) == structure(generate_backbone(params))
 
 
 def test_distinct_seeds_vary():
     # small families collide structurally, so the bar is variety, not uniqueness
-    dumps = {dump_graph(generate_backbone(BackboneParams(seed=s))) for s in range(100)}
-    assert len(dumps) > 50
+    shapes = {structure(generate_backbone(BackboneParams(seed=s))) for s in range(100)}
+    assert len(shapes) > 50
 
 
 @given(seeds)
@@ -228,14 +231,6 @@ def test_load_name_pool_rejects_duplicates(tmp_path):
     path.write_text("Alice,female\nAlice,female\n")
     with pytest.raises(ConfigError):
         load_name_pool(path)
-
-
-def test_dump_graph_stable(closed_world):
-    dump = dump_graph(closed_world)
-    assert dump == dump_graph(closed_world)
-    lines = dump.splitlines()
-    assert lines[0].startswith("# entities")
-    assert any("backbone" in line for line in lines)
 
 
 def test_fact_str():

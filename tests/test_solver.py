@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from _oracles import brute_force_fold
 from kinship_forge.errors import (
     AmbiguousAnswerError,
-    DisconnectedPathError,
     NoPathError,
 )
 from kinship_forge.familygraph import (
@@ -16,7 +15,7 @@ from kinship_forge.familygraph import (
     generate_backbone,
 )
 from kinship_forge.ontology import Gender, Predicate, default_rulebase
-from kinship_forge.solver import check_confluence, cyk_fold, fold_predicates, solve
+from kinship_forge.solver import fold_predicates, solve
 
 M, F = Gender.MALE, Gender.FEMALE
 P = Predicate
@@ -53,15 +52,6 @@ def test_fold_known_ambiguity(rb):
 def test_fold_matches_brute_force(preds):
     rb = default_rulebase()
     assert fold_predicates(preds, rb) == brute_force_fold(tuple(preds), rb)
-
-
-def test_cyk_fold_requires_a_path(rb):
-    with pytest.raises(DisconnectedPathError):
-        cyk_fold([], rb)
-    broken = [Fact(0, 1, P.CHILD), Fact(2, 3, P.CHILD)]
-    with pytest.raises(DisconnectedPathError):
-        cyk_fold(broken, rb)
-    assert cyk_fold(chain_facts(P.CHILD, P.CHILD), rb) == frozenset([P.GRAND])
 
 
 INTRO_GENDERS = {0: M, 1: F, 2: M}
@@ -183,16 +173,6 @@ def test_solve_agrees_with_closure_when_unambiguous(rb, seed):
             assert result.predicate is expected, f"pair ({x},{y})"
             checked += 1
     assert checked > 10
-
-
-def test_check_confluence_agree_and_disagree(rb):
-    clean = chain_facts(P.CHILD, P.CHILD)
-    report = check_confluence(clean, (0, 2), rb)
-    assert report.agree and report.predicates == frozenset([P.GRAND])
-    messy = chain_facts(P.SO, P.CHILD, P.INV_GRAND)
-    report = check_confluence(messy, (0, 3), rb)
-    assert not report.agree
-    assert report.predicates == frozenset([P.INV_CHILD, P.INV_IN_LAW])
 
 
 def test_solve_deterministic(rb, closed_world):
