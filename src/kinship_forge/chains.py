@@ -9,7 +9,6 @@ a simple path whose fold rederives the target.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,6 +19,7 @@ from .familygraph import (
     KinshipGraph,
     close_graph,
     generate_backbone,
+    simple_paths,
 )
 from .ontology import Atom, Predicate, Rule, RuleBase, default_rulebase
 
@@ -136,38 +136,24 @@ def backward_chain(
     )
 
 
-def _simple_paths(
-    g: KinshipGraph, start: int, max_len: int, stop: frozenset[int]
-) -> Iterator[tuple[Fact, ...]]:
-    """Simple directed paths of 1..max_len edges out of start.
-
-    A vertex in stop may end a path but never lies inside one.
-    """
-
-    def extend(node: int, facts: tuple[Fact, ...], visited: frozenset[int]):
-        for nxt, pred in g.out_of(node).items():
-            if nxt in visited:
-                continue
-            path = facts + (Fact(node, nxt, pred),)
-            yield path
-            if len(path) < max_len and nxt not in stop:
-                yield from extend(nxt, path, visited | {nxt})
-
-    return extend(start, (), frozenset((start,)))
-
-
 def _pick_path(
-    rng: random.Random, candidates: list[tuple[Fact, ...]]
-) -> tuple[Fact, ...]:
-    """Uniform over available lengths, then uniform within the length."""
-    by_len: dict[int, list[tuple[Fact, ...]]] = {}
+    rng: random.Random, candidates: list[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Uniform over available lengths, then uniform within the length.
+
+    Candidates are vertex tuples; sorting them ranks paths as their
+    (src, dst, pred) facts would, since a pair carries one predicate.
+    """
+    by_len: dict[int, list[tuple[int, ...]]] = {}
     for path in candidates:
         by_len.setdefault(len(path), []).append(path)
     length = rng.choice(sorted(by_len))
-    ranked = sorted(
-        by_len[length], key=lambda p: tuple((f.src, f.dst, f.pred.value) for f in p)
-    )
-    return rng.choice(ranked)
+    return rng.choice(sorted(by_len[length]))
+
+
+def _noise_path(kind: NoiseKind, g: KinshipGraph, vertices: tuple[int, ...]) -> NoisePath:
+    facts = tuple(Fact(a, b, g.predicate(a, b)) for a, b in zip(vertices, vertices[1:]))
+    return NoisePath(kind, facts, _atoms_of(g, facts))
 
 
 def sample_supporting_noise(
@@ -189,16 +175,15 @@ def sample_supporting_noise(
     ]
     # a path of >= 2 edges whose interior leaves the chain has an
     # off-chain endpoint on every edge, so it never reuses a chain edge
-    routes: dict[int, list[tuple[Fact, ...]]] = {}
+    routes: dict[int, list[tuple[int, ...]]] = {}
     for i, j in rng.sample(index_pairs, len(index_pairs)):
         if i not in routes:
             routes[i] = [
-                p for p in _simple_paths(g, vertices[i], 3, on_chain) if len(p) >= 2
+                p for p in simple_paths(g.out_of, vertices[i], 3, on_chain) if len(p) >= 3
             ]
-        candidates = [p for p in routes[i] if p[-1].dst == vertices[j]]
+        candidates = [p for p in routes[i] if p[-1] == vertices[j]]
         if candidates:
-            facts = _pick_path(rng, candidates)
-            return NoisePath(NoiseKind.SUPPORTING, facts, _atoms_of(g, facts))
+            return _noise_path(NoiseKind.SUPPORTING, g, _pick_path(rng, candidates))
     raise NoiseSearchError("no supporting path between any two chain vertices")
 
 
@@ -218,12 +203,11 @@ def sample_irrelevant_noise(
     for candidate_anchor in (anchor, *(e for e in endpoints if e != anchor)):
         candidates = [
             p
-            for p in _simple_paths(g, candidate_anchor, 3, on_chain)
-            if p[-1].dst not in on_chain
+            for p in simple_paths(g.out_of, candidate_anchor, 3, on_chain)
+            if p[-1] not in on_chain
         ]
         if candidates:
-            facts = _pick_path(rng, candidates)
-            return NoisePath(NoiseKind.IRRELEVANT, facts, _atoms_of(g, facts))
+            return _noise_path(NoiseKind.IRRELEVANT, g, _pick_path(rng, candidates))
     raise NoiseSearchError("no off-chain path from either query entity")
 
 
@@ -235,46 +219,28 @@ def sample_disconnected_noise(
 ) -> tuple[NoisePath, KinshipGraph]:
     """A 1-3 edge path in a fresh, unrelated closed family graph.
 
-    Entity ids are offset to stay disjoint from the caller's graph; the
-    returned graph is unnamed, and callers must name it disjointly from
-    the story's other entities.
+    The world is built with ids from id_offset, to stay disjoint from the
+    caller's graph; the returned graph is unnamed, and callers must name
+    it disjointly from the story's other entities. params gives the
+    world's shape only: world attempt i is seeded with seed + i, and
+    params.seed is ignored.
     """
     rng = random.Random(seed)
     for attempt in range(20):
         world = generate_backbone(
             BackboneParams(
                 params.generations, params.max_children, params.p_marry, seed + attempt
-            )
+            ),
+            id_offset,
         )
         try:
-            closed = close_graph(_shift_ids(world, id_offset), rb)
+            closed = close_graph(world, rb)
         except ClosureConflictError:
             continue
         starts = sorted(closed.entities)
         for start in rng.sample(starts, len(starts)):
-            candidates = list(_simple_paths(closed, start, 3, frozenset()))
+            candidates = list(simple_paths(closed.out_of, start, 3))
             if candidates:
-                facts = _pick_path(rng, candidates)
-                return (
-                    NoisePath(NoiseKind.DISCONNECTED, facts, _atoms_of(closed, facts)),
-                    closed,
-                )
+                vertices = _pick_path(rng, candidates)
+                return _noise_path(NoiseKind.DISCONNECTED, closed, vertices), closed
     raise NoiseSearchError("could not build a disconnected noise world")
-
-
-def _shift_ids(g: KinshipGraph, offset: int) -> KinshipGraph:
-    if offset == 0:
-        return g
-    out = KinshipGraph(id_base=offset)
-    for i in sorted(g.entities):
-        ent = g.entities[i]
-        out.add_entity(ent.gender, ent.name)
-    for fact in g.facts():
-        out.add_edge(
-            fact.src + offset,
-            fact.dst + offset,
-            fact.pred,
-            backbone=(fact.src, fact.dst) in g.backbone,
-        )
-    out.closed = g.closed
-    return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -448,12 +449,10 @@ def build_manifest(
         counts["train"][str(row.k)] = counts["train"].get(str(row.k), 0) + 1
     for row in test:
         counts["test"][str(row.k)] = counts["test"].get(str(row.k), 0) + 1
+    bank_print = bank_fingerprint(bank)
+    rules_print = rules_fingerprint(rb)
     config_payload = json.dumps(
-        {
-            "config": cfg.as_dict(),
-            "bank": bank_fingerprint(bank),
-            "rules": rules_fingerprint(rb),
-        },
+        {"config": cfg.as_dict(), "bank": bank_print, "rules": rules_print},
         sort_keys=True,
     )
     by_split: dict[str, list[str]] = {"train": [], "test": [], "unsplit": []}
@@ -469,9 +468,9 @@ def build_manifest(
         "bank": {
             "provenance": bank.provenance,
             "templates": len(bank),
-            "fingerprint": bank_fingerprint(bank),
+            "fingerprint": bank_print,
         },
-        "rules_fingerprint": rules_fingerprint(rb),
+        "rules_fingerprint": rules_print,
         "template_split": {
             "train_ids": sorted(by_split["train"]),
             "test_ids": sorted(by_split["test"]),
@@ -546,29 +545,34 @@ def _record_from_mapping(obj: dict, origin: str) -> PuzzleRecord:
 def read_rows(path: str | Path) -> list[PuzzleRecord]:
     """Inverse of write_rows; format inferred from the file suffix."""
     path = Path(path)
+    if path.suffix not in (".csv", ".jsonl"):
+        raise ConfigError(f"cannot infer format from suffix of {path}")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
     rows = []
     if path.suffix == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        missing = [c for c in COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
+        index = {c: header.index(c) for c in COLUMNS}
+        for lineno, cells in enumerate(reader, 2):
+            origin = f"{path}:{lineno}"
+            if len(cells) != len(header):
+                raise SchemaError(f"{origin}: {len(cells)} cells for {len(header)} columns")
             try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file") from None
-            missing = [c for c in COLUMNS if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
-            index = {c: header.index(c) for c in COLUMNS}
-            for lineno, cells in enumerate(reader, 2):
-                origin = f"{path}:{lineno}"
-                if len(cells) != len(header):
-                    raise SchemaError(f"{origin}: {len(cells)} cells for {len(header)} columns")
-                try:
-                    obj = {c: _decode_cell(c, cells[index[c]]) for c in COLUMNS}
-                except ValueError as exc:  # also JSONDecodeError
-                    raise SchemaError(f"{origin}: {exc}") from None
-                rows.append(_record_from_mapping(obj, origin))
-    elif path.suffix == ".jsonl":
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+                obj = {c: _decode_cell(c, cells[index[c]]) for c in COLUMNS}
+            except ValueError as exc:  # also JSONDecodeError
+                raise SchemaError(f"{origin}: {exc}") from None
+            rows.append(_record_from_mapping(obj, origin))
+    else:
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             origin = f"{path}:{lineno}"
@@ -579,8 +583,6 @@ def read_rows(path: str | Path) -> list[PuzzleRecord]:
             if not isinstance(obj, dict):
                 raise SchemaError(f"{origin}: expected a JSON object")
             rows.append(_record_from_mapping(obj, origin))
-    else:
-        raise ConfigError(f"cannot infer format from suffix of {path}")
     return rows
 
 

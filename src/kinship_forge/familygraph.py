@@ -8,7 +8,8 @@ exactly one predicate per ordered entity pair.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Collection, Iterator, Reversible
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -133,15 +134,42 @@ class KinshipGraph:
         )
 
 
-def generate_backbone(params: BackboneParams) -> KinshipGraph:
+def simple_paths(
+    out_of: Callable[[int], Reversible[int]],
+    start: int,
+    max_len: int,
+    stop: Collection[int] = frozenset(),
+) -> Iterator[tuple[int, ...]]:
+    """Simple directed paths of 1..max_len edges out of start, as vertex tuples.
+
+    Depth-first from a stack: a popped path yields each one-edge
+    extension, walking out_of(last) in reverse, and pushes it unless its
+    new vertex is in stop or it has max_len edges. So a vertex in stop may
+    end a path but never lies inside one, and the pushed extensions come
+    off the stack in out_of order.
+    """
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        for nxt in reversed(out_of(path[-1])):
+            if nxt in path:
+                continue
+            extended = path + (nxt,)
+            yield extended
+            if nxt not in stop and len(path) < max_len:
+                stack.append(extended)
+
+
+def generate_backbone(params: BackboneParams, id_base: int = 0) -> KinshipGraph:
     """Sample a family tree rooted at one founding couple.
 
     Couples draw Uniform{1..max_children} children with fair coin genders.
     Every non-final-generation person marries a fresh opposite-gender
-    entity with probability p_marry; only couples bear children.
+    entity with probability p_marry; only couples bear children. Entity
+    ids count up from id_base.
     """
     rng = random.Random(params.seed)
-    g = KinshipGraph()
+    g = KinshipGraph(id_base)
     husband = g.add_entity(Gender.MALE)
     wife = g.add_entity(Gender.FEMALE)
     _marry(g, husband.id, wife.id)
@@ -222,7 +250,7 @@ def close_graph(g: KinshipGraph, rb: RuleBase | None = None) -> KinshipGraph:
 def load_name_pool(path: str | Path) -> tuple[tuple[str, Gender], ...]:
     """Read `name,gender` lines into an ordered pool."""
     pool = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line:
             continue

@@ -31,8 +31,8 @@ from .errors import (
 from .familygraph import Entity
 from .ontology import (
     Atom,
-    Gender,
     RuleBase,
+    atom_sort_key,
     default_rulebase,
     enumerate_shapes,
     parse_gender,
@@ -84,7 +84,7 @@ class TemplateBank:
             self._by_key.setdefault(t.key, []).append(t)
 
     def keys(self) -> tuple[tuple[Atom, ...], ...]:
-        return tuple(sorted(self._by_key, key=_key_sort))
+        return tuple(sorted(self._by_key, key=atom_sort_key))
 
     def templates_for(self, key: tuple[Atom, ...]) -> tuple[Template, ...]:
         return tuple(self._by_key.get(key, ()))
@@ -108,12 +108,6 @@ class TemplateBank:
 
     def __contains__(self, key: tuple[Atom, ...]) -> bool:
         return key in self._by_key
-
-
-def _key_sort(key: tuple[Atom, ...]) -> tuple:
-    from .ontology import GENDER_ORDER, PREDICATE_ORDER
-
-    return tuple((PREDICATE_ORDER[p], GENDER_ORDER[g]) for p, g in key)
 
 
 def _validate_slots(template: Template) -> None:
@@ -149,7 +143,7 @@ def load_bank(path: str | Path, rb: RuleBase | None = None) -> TemplateBank:
     if rb is None:
         rb = default_rulebase()
     templates = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line:
             continue

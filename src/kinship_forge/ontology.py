@@ -211,7 +211,7 @@ class RuleBase:
     def from_file(cls, path: str | Path) -> "RuleBase":
         """Parse `head <- body1 body2` lines; '#' starts a comment."""
         rules = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -278,7 +278,8 @@ def parse_shape_id(text: str) -> tuple[Atom, ...]:
     return tuple(atoms)
 
 
-def _atom_sort_key(atoms: Sequence[Atom]) -> tuple:
+def atom_sort_key(atoms: Sequence[Atom]) -> tuple:
+    """Canonical order of atom sequences: predicate, then gender, atom by atom."""
     return tuple((PREDICATE_ORDER[p], GENDER_ORDER[g]) for p, g in atoms)
 
 
@@ -330,10 +331,10 @@ def enumerate_shapes(
     for _ in range(k - 1):
         level = {new for shape in level for new in _expansions(shape, rb)}
     return tuple(
-        sorted(level, key=lambda s: (_atom_sort_key(s.atoms), _atom_sort_key([s.head])))
+        sorted(level, key=lambda s: (atom_sort_key(s.atoms), atom_sort_key([s.head])))
     )
 
 
 def shape_keys(shapes: Iterable[ClauseShape]) -> tuple[tuple[Atom, ...], ...]:
     """Distinct atom lists (template keys) of the given shapes, sorted."""
-    return tuple(sorted({s.atoms for s in shapes}, key=_atom_sort_key))
+    return tuple(sorted({s.atoms for s in shapes}, key=atom_sort_key))

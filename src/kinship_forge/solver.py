@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import AmbiguousAnswerError, NoPathError
-from .familygraph import Fact
+from .familygraph import Fact, simple_paths
 from .ontology import (
     Gender,
     PREDICATE_ORDER,
@@ -73,29 +73,6 @@ def _augmented(facts: Iterable[Fact]) -> dict[tuple[int, int], frozenset[Predica
     return {pair: frozenset(preds) for pair, preds in pairs.items()}
 
 
-def _iter_simple_paths(
-    pairs: Mapping[tuple[int, int], frozenset[Predicate]],
-    start: int,
-    goal: int,
-    max_len: int,
-):
-    adjacency: dict[int, list[int]] = {}
-    for a, b in pairs:
-        adjacency.setdefault(a, []).append(b)
-    for node in adjacency:
-        adjacency[node].sort()
-    stack = [(start, (start,))]
-    while stack:
-        node, path = stack.pop()
-        for nxt in reversed(adjacency.get(node, ())):
-            if nxt in path:
-                continue
-            if nxt == goal:
-                yield path + (nxt,)
-            elif len(path) <= max_len - 1:
-                stack.append((nxt, path + (nxt,)))
-
-
 def _path_fold(
     vertices: Sequence[int],
     pairs: Mapping[tuple[int, int], frozenset[Predicate]],
@@ -147,13 +124,17 @@ def solve(
     facts = tuple(facts)
     start, goal = query
     pairs = _augmented(facts)
-    known = {e for pair in pairs for e in pair}
-    if start not in known or goal not in known:
+    adjacency: dict[int, list[int]] = {}
+    for a, b in sorted(pairs):
+        adjacency.setdefault(a, []).append(b)
+    if start not in adjacency or goal not in adjacency:
         raise NoPathError(f"query entity missing from facts: {query}")
     derived: set[Predicate] = set()
     witness_path: tuple[int, ...] | None = None
     witness_table: SpanTable | None = None
-    for vertices in _iter_simple_paths(pairs, start, goal, max_path_len):
+    for vertices in simple_paths(adjacency.__getitem__, start, max_path_len, {goal}):
+        if vertices[-1] != goal:
+            continue
         table = _path_fold(vertices, pairs, rb)
         heads = table[(0, len(vertices) - 1)]
         derived.update(heads)

@@ -110,3 +110,25 @@ def brute_force_fold(preds: tuple[Predicate, ...], rb: RuleBase) -> frozenset[Pr
         return frozenset(heads)
 
     return fold(tuple(preds))
+
+
+def all_simple_paths(
+    edges: set[tuple[int, int]], start: int, max_len: int, stop: frozenset[int]
+) -> set[tuple[int, ...]]:
+    """Every simple path of 1..max_len edges out of start, as vertex tuples.
+
+    Explicit recursion over the whole edge set; a vertex in stop may end
+    a path but is never walked through.
+    """
+    found: set[tuple[int, ...]] = set()
+
+    def walk(path: tuple[int, ...]) -> None:
+        if len(path) - 1 == max_len or (len(path) > 1 and path[-1] in stop):
+            return
+        for a, b in edges:
+            if a == path[-1] and b not in path:
+                found.add(path + (b,))
+                walk(path + (b,))
+
+    walk((start,))
+    return found

@@ -216,6 +216,13 @@ def test_disconnected_noise_structure(closed_world):
         assert other.predicate(fact.src, fact.dst) is fact.pred
 
 
+def test_disconnected_noise_ignores_params_seed():
+    # the world is seeded from the seed argument; params gives its shape only
+    one = sample_disconnected_noise(BackboneParams(2, 3, 0.5, seed=1), seed=5, id_offset=50)
+    two = sample_disconnected_noise(BackboneParams(2, 3, 0.5, seed=99), seed=5, id_offset=50)
+    assert one == two
+
+
 @given(st.integers(min_value=0, max_value=500))
 def test_noise_samplers_deterministic(seed):
     g = world(seed % 40)

@@ -84,6 +84,28 @@ class TestSolve:
         assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve", "--facts"),
+        ("generate", "--config"),
+        ("generate", "--rules"),
+        ("generate", "--bank"),
+    ],
+)
+def test_non_utf8_input_exits_1(tmp_path, capsys, command, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"mother(Bob, Alice)\n\xff\xfe\n")
+    if command == "solve":
+        rest = ["--query", "Bob", "Alice"]
+    else:
+        rest = ["--out", str(tmp_path / "out"), "--n-train", "1", "--n-test", "1"]
+    rc, _, err = run(capsys, command, flag, str(bad), *rest)
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestParseFactFile:
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = fact_file(tmp_path, "# header\n\nmother(Bob, Alice)\n")

@@ -321,6 +321,14 @@ class TestRoundTrip:
         with pytest.raises(SchemaError, match=r"rows\.jsonl:2: "):
             read_rows(path)
 
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_non_utf8_file_is_a_schema_error(self, rows, tmp_path, format):
+        path = tmp_path / f"rows.{format}"
+        write_rows(rows[:1], path, format)
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(SchemaError, match=rf"rows\.{format}: not UTF-8"):
+            read_rows(path)
+
 
 class TestStats:
     def one_key_bank(self, *texts):

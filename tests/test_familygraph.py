@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_close
+from _oracles import all_simple_paths, naive_close
 from kinship_forge.errors import ClosureConflictError, ConfigError, EdgeConflictError, PoolExhaustedError
 from kinship_forge.familygraph import (
     BackboneParams,
@@ -13,6 +13,7 @@ from kinship_forge.familygraph import (
     default_name_pool,
     generate_backbone,
     load_name_pool,
+    simple_paths,
 )
 from kinship_forge.ontology import Gender, Predicate
 
@@ -235,3 +236,38 @@ def test_load_name_pool_rejects_duplicates(tmp_path):
 
 def test_fact_str():
     assert str(Fact(1, 2, Predicate.CHILD)) == "child(1,2)"
+
+
+def test_backbone_id_base_shifts_every_id():
+    params = BackboneParams(seed=4)
+    plain, based = generate_backbone(params), generate_backbone(params, id_base=100)
+    assert based.facts() == tuple(
+        Fact(f.src + 100, f.dst + 100, f.pred) for f in plain.facts()
+    )
+    assert {i: e.gender for i, e in based.entities.items()} == {
+        i + 100: e.gender for i, e in plain.entities.items()
+    }
+    assert based.backbone == {(a + 100, b + 100) for a, b in plain.backbone}
+
+
+@st.composite
+def path_queries(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    start = draw(st.integers(min_value=0, max_value=n - 1))
+    stop = draw(st.frozensets(st.integers(min_value=0, max_value=n - 1)))
+    max_len = draw(st.integers(min_value=1, max_value=5))
+    return edges, start, max_len, stop
+
+
+@settings(max_examples=200)
+@given(path_queries())
+def test_simple_paths_match_brute_force(query):
+    edges, start, max_len, stop = query
+    adjacency: dict[int, list[int]] = {}
+    for a, b in sorted(edges):
+        adjacency.setdefault(a, []).append(b)
+    paths = list(simple_paths(lambda v: adjacency.get(v, []), start, max_len, stop))
+    assert len(paths) == len(set(paths))
+    assert set(paths) == all_simple_paths(edges, start, max_len, stop)

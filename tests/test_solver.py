@@ -101,6 +101,23 @@ def test_snapshot_father(rb):
     assert result.label == "father"
 
 
+def test_solve_witness_is_first_derivable_path(rb):
+    # two derivable routes from 0 to 4: 0-1-3-4 (SO, child, child) and
+    # 0-2-4 (child, child); enumeration follows the smaller neighbour 1
+    # first, so the proof witnesses the longer route
+    facts = [
+        Fact(0, 1, P.SO),
+        Fact(1, 3, P.CHILD),
+        Fact(3, 4, P.CHILD),
+        Fact(0, 2, P.CHILD),
+        Fact(2, 4, P.CHILD),
+    ]
+    result = solve(facts, (0, 4), {4: F}, rb, name_of="ABXZC".__getitem__)
+    assert result.label == "granddaughter"
+    assert result.proof == "(SO(A,B) + (child(B,Z) + child(Z,C) => grand) => grand)"
+    assert [(f.src, f.dst) for f in result.path] == [(0, 1), (1, 3), (3, 4)]
+
+
 def test_solve_uses_inverse_spellings(rb):
     # only child(a,b) is stated; the reverse query still resolves
     facts = [Fact(0, 1, P.CHILD)]
