@@ -9,6 +9,7 @@ a simple path whose fold rederives the target.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,10 +36,19 @@ class TargetFact:
 
 
 @dataclass(frozen=True)
-class ReasoningChain:
-    target: TargetFact
+class FactPath:
+    """A simple path of graph edges: a reasoning chain or a noise path.
+
+    atoms[i] is (predicate, gender of the second entity) of facts[i].
+    """
+
     facts: tuple[Fact, ...]
     atoms: tuple[Atom, ...]
+
+    @classmethod
+    def of(cls, g: KinshipGraph, facts: Iterable[Fact]) -> FactPath:
+        facts = tuple(facts)
+        return cls(facts, tuple((f.pred, g.gender(f.dst)) for f in facts))
 
     @property
     def k(self) -> int:
@@ -55,21 +65,6 @@ class NoiseKind(Enum):
     DISCONNECTED = "disconnected"
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    kind: NoiseKind
-    facts: tuple[Fact, ...]
-    atoms: tuple[Atom, ...]
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return (self.facts[0].src,) + tuple(f.dst for f in self.facts)
-
-
-def _atoms_of(g: KinshipGraph, facts: tuple[Fact, ...]) -> tuple[Atom, ...]:
-    return tuple((f.pred, g.gender(f.dst)) for f in facts)
-
-
 def sample_target(g: KinshipGraph, seed: int = 0) -> TargetFact:
     """Uniform draw over every edge of the graph."""
     facts = g.facts()
@@ -79,14 +74,17 @@ def sample_target(g: KinshipGraph, seed: int = 0) -> TargetFact:
     return TargetFact(fact.src, fact.dst, fact.pred)
 
 
+# fresh expansions backward_chain tries before it gives up
+MAX_RESTARTS = 50
+
+
 def backward_chain(
     g: KinshipGraph,
     target: TargetFact,
     k: int,
     seed: int = 0,
     rb: RuleBase | None = None,
-    max_restarts: int = 50,
-) -> ReasoningChain:
+) -> FactPath:
     """Expand target into a k-fact simple path of graph edges.
 
     Each step picks a chain fact uniformly, then a rule uniformly among
@@ -102,7 +100,7 @@ def backward_chain(
     if g.predicate(target.head, target.tail) is not target.pred:
         raise ConfigError(f"target {target} is not an edge of the graph")
     rng = random.Random(seed)
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         facts = [target.as_fact()]
         on_path = {target.head, target.tail}
         while len(facts) < k:
@@ -130,9 +128,9 @@ def backward_chain(
             ]
             on_path.add(z)
         if len(facts) == k:
-            return ReasoningChain(target, tuple(facts), _atoms_of(g, tuple(facts)))
+            return FactPath.of(g, facts)
     raise UnexpandableError(
-        f"no length-{k} expansion of {target} within {max_restarts} restarts"
+        f"no length-{k} expansion of {target} within {MAX_RESTARTS} restarts"
     )
 
 
@@ -151,14 +149,14 @@ def _pick_path(
     return rng.choice(sorted(by_len[length]))
 
 
-def _noise_path(kind: NoiseKind, g: KinshipGraph, vertices: tuple[int, ...]) -> NoisePath:
-    facts = tuple(Fact(a, b, g.predicate(a, b)) for a, b in zip(vertices, vertices[1:]))
-    return NoisePath(kind, facts, _atoms_of(g, facts))
+def _path_along(g: KinshipGraph, vertices: tuple[int, ...]) -> FactPath:
+    pairs = zip(vertices, vertices[1:])
+    return FactPath.of(g, (Fact(a, b, g.predicate(a, b)) for a, b in pairs))
 
 
 def sample_supporting_noise(
-    g: KinshipGraph, chain: ReasoningChain, seed: int = 0
-) -> NoisePath:
+    g: KinshipGraph, chain: FactPath, seed: int = 0
+) -> FactPath:
     """A 2-3 edge alternative route between two chain vertices.
 
     Endpoints are chain vertices vi, vj with i < j; interior vertices
@@ -183,13 +181,13 @@ def sample_supporting_noise(
             ]
         candidates = [p for p in routes[i] if p[-1] == vertices[j]]
         if candidates:
-            return _noise_path(NoiseKind.SUPPORTING, g, _pick_path(rng, candidates))
+            return _path_along(g, _pick_path(rng, candidates))
     raise NoiseSearchError("no supporting path between any two chain vertices")
 
 
 def sample_irrelevant_noise(
-    g: KinshipGraph, chain: ReasoningChain, seed: int = 0
-) -> NoisePath:
+    g: KinshipGraph, chain: FactPath, seed: int = 0
+) -> FactPath:
     """A 1-3 edge dead-end hanging off one query entity.
 
     The anchor is chosen uniformly between the chain endpoints; every
@@ -207,7 +205,7 @@ def sample_irrelevant_noise(
             if p[-1] not in on_chain
         ]
         if candidates:
-            return _noise_path(NoiseKind.IRRELEVANT, g, _pick_path(rng, candidates))
+            return _path_along(g, _pick_path(rng, candidates))
     raise NoiseSearchError("no off-chain path from either query entity")
 
 
@@ -216,7 +214,7 @@ def sample_disconnected_noise(
     seed: int = 0,
     id_offset: int = 0,
     rb: RuleBase | None = None,
-) -> tuple[NoisePath, KinshipGraph]:
+) -> tuple[FactPath, KinshipGraph]:
     """A 1-3 edge path in a fresh, unrelated closed family graph.
 
     The world is built with ids from id_offset, to stay disjoint from the
@@ -241,6 +239,5 @@ def sample_disconnected_noise(
         for start in rng.sample(starts, len(starts)):
             candidates = list(simple_paths(closed.out_of, start, 3))
             if candidates:
-                vertices = _pick_path(rng, candidates)
-                return _noise_path(NoiseKind.DISCONNECTED, closed, vertices), closed
+                return _path_along(closed, _pick_path(rng, candidates)), closed
     raise NoiseSearchError("could not build a disconnected noise world")

@@ -33,6 +33,7 @@ from .errors import (
     NoPathError,
     PoolExhaustedError,
     UnexpandableError,
+    read_utf8,
 )
 from .familygraph import Fact
 from .ontology import (
@@ -127,7 +128,7 @@ _CONFIG_COERCERS = {
 def load_config_file(path: str | Path) -> dict:
     """Parse `key = value` lines naming SplitConfig fields."""
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -240,7 +241,7 @@ def parse_fact_file(path: str | Path):
             raise ConfigError(f"{context}: conflicting gender for entity")
         genders[entity] = gender
 
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -386,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except KinshipForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable or non-UTF-8 input file
+    except OSError as exc:  # unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

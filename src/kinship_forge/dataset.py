@@ -22,8 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .chains import (
+    FactPath,
     NoiseKind,
-    NoisePath,
     backward_chain,
     sample_disconnected_noise,
     sample_irrelevant_noise,
@@ -194,9 +194,9 @@ def _check_atom_coverage(bank: TemplateBank, rb: RuleBase) -> None:
     for shape in enumerate_shapes(1, rb):
         for split in (Split.TRAIN, Split.TEST):
             try:
-                bank.eligible(shape.key, split)
+                bank.eligible(shape.atoms, split)
             except (CoverageError, NoEligibleTemplateError):
-                missing.append((shape.key, split.value))
+                missing.append((shape.atoms, split.value))
     if missing:
         raise CoverageError(
             f"bank cannot render {len(missing)} single-fact key/split combinations, "
@@ -280,7 +280,7 @@ class RowGenerator:
         if split == "train" and sid in held_out:
             return None
         noise_kind = self.cfg.noise_for(split)
-        noise_paths: list[NoisePath] = []
+        noise_paths: list[FactPath] = []
         noise_world: KinshipGraph | None = None
         if noise_kind is not None:
             noise_seed = derive_seed(row_seed, attempt, "noise")
@@ -293,30 +293,27 @@ class RowGenerator:
                     _NOISE_WORLD_PARAMS, noise_seed, id_offset=_NOISE_ID_OFFSET, rb=rb
                 )
                 noise_paths.append(noise_path)
-        entities = dict(g.entities)
+        genders = g.entities
+        names = None
         if self.pool is not None:
-            named = assign_names(g, self.pool, derive_seed(row_seed, attempt, "names"))
-            entities = dict(named.entities)
-            if noise_world is not None:
-                used = {e.name for e in named.entities.values()}
+            names = assign_names(g, self.pool, derive_seed(row_seed, attempt, "names"))
+        if noise_world is not None:
+            genders = {**genders, **noise_world.entities}
+            if names is not None:
+                used = set(names.values())
                 rest = tuple(p for p in self.pool if p[0] not in used)
-                named_world = assign_names(
-                    noise_world, rest, derive_seed(row_seed, attempt, "noise-names")
-                )
-                entities.update(named_world.entities)
-        elif noise_world is not None:
-            entities.update(noise_world.entities)
+                world_seed = derive_seed(row_seed, attempt, "noise-names")
+                names.update(assign_names(noise_world, rest, world_seed))
         rendered = render_story(
             chain,
             noise_paths,
             self.bank,
-            entities,
+            names,
             split=Split.TRAIN if split == "train" else Split.TEST,
-            naming=self.cfg.naming,
             seed=derive_seed(row_seed, attempt, "render"),
         )
         token_of = rendered.entity_mentions
-        genders_by_id = {i: entities[i].gender for i in token_of}
+        genders_by_id = {i: genders[i] for i in token_of}
         name_of = token_of.__getitem__
         query = (target.head, target.tail)
         base = solve(chain.facts, query, genders_by_id, rb, name_of=name_of)
@@ -484,8 +481,6 @@ def build_manifest(
 
 def _encode_cell(column: str, value: object) -> str:
     if column in ("genders", "facts", "noise_facts", "template_ids"):
-        if isinstance(value, tuple):
-            value = list(value)
         return json.dumps(value, separators=(",", ":"))
     if column == "shape_held_out":
         return "true" if value else "false"
@@ -517,16 +512,11 @@ def write_rows(rows: list[PuzzleRecord], path: str | Path, format: str = "csv") 
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(COLUMNS)
             for row in rows:
-                raw = asdict(row)
-                writer.writerow([_encode_cell(c, raw[c]) for c in COLUMNS])
+                writer.writerow([_encode_cell(c, getattr(row, c)) for c in COLUMNS])
     elif format == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             for row in rows:
-                raw = asdict(row)
-                obj = {
-                    c: list(raw[c]) if isinstance(raw[c], tuple) else raw[c]
-                    for c in COLUMNS
-                }
+                obj = {c: getattr(row, c) for c in COLUMNS}
                 fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
     else:
         raise ConfigError(f"unknown format {format!r}; expected csv or jsonl")

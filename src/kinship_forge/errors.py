@@ -1,10 +1,13 @@
 """Exception taxonomy shared across the package.
 
 Every error raised on purpose derives from KinshipForgeError so the CLI
-can map the whole family onto exit codes.
+can map the whole family onto exit codes. `read_utf8` is the one reader
+of input text files, so a file that is not UTF-8 fails as a named error.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class KinshipForgeError(Exception):
@@ -74,3 +77,11 @@ class GenerationBudgetError(KinshipForgeError):
 
 class SchemaError(KinshipForgeError):
     """Dataset file is missing a column or holds an unparseable value."""
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of an input file; ConfigError naming the file if not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None

@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Collection, Iterator, Reversible
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ClosureConflictError, ConfigError, EdgeConflictError, PoolExhaustedError
+from .errors import (
+    ClosureConflictError,
+    ConfigError,
+    EdgeConflictError,
+    PoolExhaustedError,
+    read_utf8,
+)
 from .ontology import Gender, Predicate, RuleBase, default_rulebase, parse_gender
 
 
@@ -27,13 +33,6 @@ class Fact:
 
     def __str__(self) -> str:
         return f"{self.pred.value}({self.src},{self.dst})"
-
-
-@dataclass
-class Entity:
-    id: int
-    gender: Gender
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -55,26 +54,26 @@ class BackboneParams:
 class KinshipGraph:
     """Mutable relation graph over integer entity ids.
 
-    Keeps out- and in-adjacency for the closure and the chain sampler.
-    `id_base` offsets fresh ids so two graphs can stay disjoint.
+    `entities` maps each id to its gender. Keeps out- and in-adjacency
+    for the closure and the chain sampler. `id_base` offsets fresh ids so
+    two graphs can stay disjoint.
     """
 
     def __init__(self, id_base: int = 0) -> None:
-        self.entities: dict[int, Entity] = {}
-        self.backbone: set[tuple[int, int]] = set()
-        self.closed = False
+        self.entities: dict[int, Gender] = {}
         self._id_base = id_base
         self._out: dict[int, dict[int, Predicate]] = {}
         self._in: dict[int, dict[int, Predicate]] = {}
 
-    def add_entity(self, gender: Gender, name: str = "") -> Entity:
-        ent = Entity(self._id_base + len(self.entities), gender, name)
-        self.entities[ent.id] = ent
-        self._out[ent.id] = {}
-        self._in[ent.id] = {}
-        return ent
+    def add_entity(self, gender: Gender) -> int:
+        """Add an entity of this gender and return its fresh id."""
+        entity_id = self._id_base + len(self.entities)
+        self.entities[entity_id] = gender
+        self._out[entity_id] = {}
+        self._in[entity_id] = {}
+        return entity_id
 
-    def add_edge(self, src: int, dst: int, pred: Predicate, backbone: bool = False) -> None:
+    def add_edge(self, src: int, dst: int, pred: Predicate) -> None:
         if src == dst:
             raise ConfigError(f"self-loop edge on entity {src}")
         if src not in self.entities or dst not in self.entities:
@@ -86,8 +85,6 @@ class KinshipGraph:
             )
         self._out[src][dst] = pred
         self._in[dst][src] = pred
-        if backbone:
-            self.backbone.add((src, dst))
 
     def predicate(self, src: int, dst: int) -> Predicate | None:
         out = self._out.get(src)
@@ -100,7 +97,7 @@ class KinshipGraph:
         return self._in.get(dst, {})
 
     def gender(self, entity_id: int) -> Gender:
-        return self.entities[entity_id].gender
+        return self.entities[entity_id]
 
     def facts(self) -> tuple[Fact, ...]:
         """All edges as Facts, sorted for determinism."""
@@ -116,9 +113,7 @@ class KinshipGraph:
 
     def copy(self) -> "KinshipGraph":
         dup = KinshipGraph(self._id_base)
-        dup.entities = {i: replace(e) for i, e in self.entities.items()}
-        dup.backbone = set(self.backbone)
-        dup.closed = self.closed
+        dup.entities = dict(self.entities)
         dup._out = {i: dict(d) for i, d in self._out.items()}
         dup._in = {i: dict(d) for i, d in self._in.items()}
         return dup
@@ -126,12 +121,7 @@ class KinshipGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KinshipGraph):
             return NotImplemented
-        return (
-            {i: (e.gender, e.name) for i, e in self.entities.items()}
-            == {i: (e.gender, e.name) for i, e in other.entities.items()}
-            and self._out == other._out
-            and self.backbone == other.backbone
-        )
+        return self.entities == other.entities and self._out == other._out
 
 
 def simple_paths(
@@ -172,8 +162,8 @@ def generate_backbone(params: BackboneParams, id_base: int = 0) -> KinshipGraph:
     g = KinshipGraph(id_base)
     husband = g.add_entity(Gender.MALE)
     wife = g.add_entity(Gender.FEMALE)
-    _marry(g, husband.id, wife.id)
-    couples = [(husband.id, wife.id)]
+    _marry(g, husband, wife)
+    couples = [(husband, wife)]
     for gen in range(1, params.generations):
         next_couples: list[tuple[int, int]] = []
         for a, b in couples:
@@ -181,20 +171,20 @@ def generate_backbone(params: BackboneParams, id_base: int = 0) -> KinshipGraph:
             for _ in range(rng.randint(1, params.max_children)):
                 gender = Gender.MALE if rng.random() < 0.5 else Gender.FEMALE
                 kid = g.add_entity(gender)
-                kids.append(kid.id)
+                kids.append(kid)
                 for parent in (a, b):
-                    g.add_edge(parent, kid.id, Predicate.CHILD, backbone=True)
-                    g.add_edge(kid.id, parent, Predicate.INV_CHILD, backbone=True)
+                    g.add_edge(parent, kid, Predicate.CHILD)
+                    g.add_edge(kid, parent, Predicate.INV_CHILD)
             for x in kids:
                 for y in kids:
                     if x != y:
-                        g.add_edge(x, y, Predicate.SIBLING, backbone=True)
+                        g.add_edge(x, y, Predicate.SIBLING)
             if gen + 1 < params.generations:
                 for kid in kids:
                     if rng.random() < params.p_marry:
                         spouse = g.add_entity(g.gender(kid).opposite)
-                        _marry(g, kid, spouse.id)
-                        next_couples.append((kid, spouse.id))
+                        _marry(g, kid, spouse)
+                        next_couples.append((kid, spouse))
         couples = next_couples
         if not couples:
             break
@@ -202,8 +192,8 @@ def generate_backbone(params: BackboneParams, id_base: int = 0) -> KinshipGraph:
 
 
 def _marry(g: KinshipGraph, a: int, b: int) -> None:
-    g.add_edge(a, b, Predicate.SO, backbone=True)
-    g.add_edge(b, a, Predicate.SO, backbone=True)
+    g.add_edge(a, b, Predicate.SO)
+    g.add_edge(b, a, Predicate.SO)
 
 
 def close_graph(g: KinshipGraph, rb: RuleBase | None = None) -> KinshipGraph:
@@ -218,8 +208,6 @@ def close_graph(g: KinshipGraph, rb: RuleBase | None = None) -> KinshipGraph:
     if rb is None:
         rb = default_rulebase()
     out = g.copy()
-    if out.closed:
-        return out
     frontier: list[tuple[int, int]] = [(f.src, f.dst) for f in out.facts()]
     while frontier:
         candidates: dict[tuple[int, int], set[Predicate]] = {}
@@ -243,14 +231,13 @@ def close_graph(g: KinshipGraph, rb: RuleBase | None = None) -> KinshipGraph:
                 raise ClosureConflictError(f"pair {pair} derives {{{names}}} in one round")
             out.add_edge(pair[0], pair[1], preds.pop())
             frontier.append(pair)
-    out.closed = True
     return out
 
 
 def load_name_pool(path: str | Path) -> tuple[tuple[str, Gender], ...]:
     """Read `name,gender` lines into an ordered pool."""
     pool = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -275,20 +262,19 @@ def assign_names(
     g: KinshipGraph,
     pool: tuple[tuple[str, Gender], ...] | None = None,
     seed: int = 0,
-) -> KinshipGraph:
-    """Return a copy with fresh gender-matched, graph-unique names."""
+) -> dict[int, str]:
+    """Map each entity id of g to a fresh gender-matched, graph-unique name."""
     if pool is None:
         pool = default_name_pool()
     rng = random.Random(seed)
-    out = g.copy()
+    names_of: dict[int, str] = {}
     for gender in Gender:
-        ids = sorted(i for i, e in out.entities.items() if e.gender is gender)
+        ids = sorted(i for i, ig in g.entities.items() if ig is gender)
         names = [n for n, ng in pool if ng is gender]
         if len(names) < len(ids):
             raise PoolExhaustedError(
                 f"{len(ids)} {gender.value} entities but only {len(names)} pool names"
             )
-        for entity_id, name in zip(ids, rng.sample(names, len(ids))):
-            out.entities[entity_id].name = name
-    return out
+        names_of.update(zip(ids, rng.sample(names, len(ids))))
+    return names_of
 

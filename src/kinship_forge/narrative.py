@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .chains import NoisePath, ReasoningChain
+from .chains import FactPath
 from .errors import (
     BankFormatError,
     ConfigError,
@@ -27,8 +27,8 @@ from .errors import (
     InsufficientTemplatesError,
     NoEligibleTemplateError,
     PoolExhaustedError,
+    read_utf8,
 )
-from .familygraph import Entity
 from .ontology import (
     Atom,
     RuleBase,
@@ -143,7 +143,7 @@ def load_bank(path: str | Path, rb: RuleBase | None = None) -> TemplateBank:
     if rb is None:
         rb = default_rulebase()
     templates = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -297,12 +297,11 @@ def _render_path(
 
 
 def render_story(
-    chain: ReasoningChain,
-    noise: Sequence[NoisePath],
+    chain: FactPath,
+    noise: Sequence[FactPath],
     bank: TemplateBank,
-    entities: Mapping[int, Entity],
+    names: Mapping[int, str] | None,
     split: Split = Split.UNSPLIT,
-    naming: Naming = Naming.NAMES,
     seed: int = 0,
     cloze_pool_size: int = 100,
 ) -> StoryRender:
@@ -310,14 +309,15 @@ def render_story(
 
     Main-fact sentences keep path order; each noise path renders as its
     own contiguous block inserted at a uniformly chosen sentence boundary
-    of the main narrative. Cloze tokens are resampled per story.
+    of the main narrative. Entities are told by their names, or, when
+    names is None, by cloze tokens resampled per story.
     """
     rng = random.Random(seed)
     story_entities: list[int] = []
     for vertex in chain.vertices + tuple(v for np in noise for v in np.vertices):
         if vertex not in story_entities:
             story_entities.append(vertex)
-    if naming is Naming.CLOZE:
+    if names is None:
         if len(story_entities) > cloze_pool_size:
             raise PoolExhaustedError(
                 f"story needs {len(story_entities)} cloze tokens, pool has {cloze_pool_size}"
@@ -328,7 +328,7 @@ def render_story(
     else:
         token_of = {}
         for vertex in story_entities:
-            name = entities[vertex].name
+            name = names.get(vertex)
             if not name:
                 raise ConfigError(f"entity {vertex} has no name; assign names first")
             token_of[vertex] = name

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError, EnumerationCapError
+from .errors import ConfigError, EnumerationCapError, read_utf8
 
 
 class Gender(Enum):
@@ -211,7 +211,7 @@ class RuleBase:
     def from_file(cls, path: str | Path) -> "RuleBase":
         """Parse `head <- body1 body2` lines; '#' starts a comment."""
         rules = []
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -247,16 +247,11 @@ class ClauseShape:
     atoms[i] is (predicate, gender of the edge's second entity) for the
     i-th chain edge; head is the derived relation over the chain endpoints,
     gendered like the final entity. The path-start entity's gender is not
-    part of the shape.
+    part of the shape. The atoms are also the template bank's lookup key.
     """
 
     atoms: tuple[Atom, ...]
     head: Atom
-
-    @property
-    def key(self) -> tuple[Atom, ...]:
-        """Bank lookup key: the body atoms without the head."""
-        return self.atoms
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -265,17 +260,6 @@ class ClauseShape:
 def shape_id(atoms: Sequence[Atom]) -> str:
     """Compact stable identifier, e.g. 'child.f|SO.m'."""
     return "|".join(f"{p.value}.{g.value[0]}" for p, g in atoms)
-
-
-def parse_shape_id(text: str) -> tuple[Atom, ...]:
-    atoms = []
-    for part in text.split("|"):
-        pred_text, _, gender_letter = part.rpartition(".")
-        gender = {"m": Gender.MALE, "f": Gender.FEMALE}.get(gender_letter)
-        if gender is None:
-            raise ConfigError(f"bad shape id fragment: {part!r}")
-        atoms.append((parse_predicate(pred_text), gender))
-    return tuple(atoms)
 
 
 def atom_sort_key(atoms: Sequence[Atom]) -> tuple:

@@ -61,7 +61,6 @@ def _span_table(leaf_sets: Sequence[frozenset[Predicate]], rb: RuleBase) -> Span
 class SolveResult:
     predicate: Predicate
     label: str
-    path: tuple[Fact, ...]
     proof: str
 
 
@@ -150,9 +149,5 @@ def solve(
     proof = _witness(
         witness_table, witness_path, 0, len(witness_path) - 1, predicate, rb, name_of
     )
-    path_facts = tuple(
-        Fact(a, b, next(iter(pairs[(a, b)])))
-        for a, b in zip(witness_path, witness_path[1:])
-    )
-    return SolveResult(predicate, surface(predicate, genders[goal]), path_facts, proof)
+    return SolveResult(predicate, surface(predicate, genders[goal]), proof)
 

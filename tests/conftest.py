@@ -32,8 +32,12 @@ def rb():
 
 @pytest.fixture(scope="session")
 def closed_world(rb):
-    g = close_graph(generate_backbone(BackboneParams(seed=11)), rb)
-    return assign_names(g, seed=11)
+    return close_graph(generate_backbone(BackboneParams(seed=11)), rb)
+
+
+@pytest.fixture(scope="session")
+def world_names(closed_world):
+    return assign_names(closed_world, seed=11)
 
 
 @pytest.fixture(scope="session")

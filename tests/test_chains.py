@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kinship_forge.chains import (
-    NoiseKind,
     backward_chain,
     sample_disconnected_noise,
     sample_irrelevant_noise,
@@ -83,7 +82,6 @@ def test_backward_chain_structure(rb, seed, k):
     target = sample_target(g, seed)
     chain = backward_chain(g, target, k, seed)
     assert chain.k == k == len(chain.facts)
-    assert chain.target == target
     vertices = chain.vertices
     assert len(vertices) == k + 1
     assert len(set(vertices)) == k + 1
@@ -145,7 +143,6 @@ def supporting_case():
 
 def test_supporting_noise_structure():
     g, chain, noise = supporting_case()
-    assert noise.kind is NoiseKind.SUPPORTING
     assert 2 <= len(noise.facts) <= 3
     on_chain = set(chain.vertices)
     start, end = noise.vertices[0], noise.vertices[-1]
@@ -188,7 +185,6 @@ def irrelevant_case():
 
 def test_irrelevant_noise_structure():
     g, chain, noise = irrelevant_case()
-    assert noise.kind is NoiseKind.IRRELEVANT
     assert 1 <= len(noise.facts) <= 3
     shared = set(noise.vertices) & set(chain.vertices)
     assert shared == {noise.vertices[0]}
@@ -207,9 +203,8 @@ def test_irrelevant_noise_exhaustion_on_tiny_world():
 def test_disconnected_noise_structure(closed_world):
     params = BackboneParams(generations=2, max_children=3, seed=77)
     noise, other = sample_disconnected_noise(params, seed=5, id_offset=10_000)
-    assert noise.kind is NoiseKind.DISCONNECTED
     assert 1 <= len(noise.facts) <= 3
-    assert other.closed
+    assert close_graph(other) == other
     assert all(i >= 10_000 for i in other.entities)
     assert not set(other.entities) & set(closed_world.entities)
     for fact in noise.facts:

@@ -102,7 +102,7 @@ def test_non_utf8_input_exits_1(tmp_path, capsys, command, flag):
         rest = ["--out", str(tmp_path / "out"), "--n-train", "1", "--n-test", "1"]
     rc, _, err = run(capsys, command, flag, str(bad), *rest)
     assert rc == 1
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
     assert "Traceback" not in err
 
 

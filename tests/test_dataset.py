@@ -25,7 +25,6 @@ from kinship_forge.ontology import (
     Gender,
     Predicate,
     SURFACE_NAMES,
-    parse_shape_id,
 )
 from _oracles import resolve_record
 
@@ -96,7 +95,7 @@ def test_draw_held_out_shapes(rb):
     assert set(held) == {3}  # never at k=2
     assert len(held[3]) == 38  # ceil(0.1 * 372)
     for sid in held[3]:
-        assert len(parse_shape_id(sid)) == 3
+        assert len(sid.split("|")) == 3
     assert held == draw_held_out_shapes(cfg, rb)
     none = draw_held_out_shapes(SplitConfig(shape_holdout_frac=0.0), rb)
     assert none == {}
@@ -134,7 +133,7 @@ class TestGenerateDataset:
             assert record.label in SURFACE_NAMES
             assert len(record.facts) == record.k
             assert record.proof_trace
-            assert parse_shape_id(record.shape_id)
+            assert len(record.shape_id.split("|")) == record.k
 
     def test_split_hygiene(self, small_run):
         _, train, test, manifest = small_run

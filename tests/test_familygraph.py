@@ -140,11 +140,11 @@ def test_closed_so_symmetric_sibling_symmetric_on_backbone(seed):
 def test_close_contains_grandfather_chain(rb):
     # Alice is Bob's mother, Jim is Alice's father
     g = KinshipGraph()
-    bob = g.add_entity(M).id
-    alice = g.add_entity(F).id
-    jim = g.add_entity(M).id
-    g.add_edge(bob, alice, Predicate.INV_CHILD, backbone=True)
-    g.add_edge(alice, jim, Predicate.INV_CHILD, backbone=True)
+    bob = g.add_entity(M)
+    alice = g.add_entity(F)
+    jim = g.add_entity(M)
+    g.add_edge(bob, alice, Predicate.INV_CHILD)
+    g.add_edge(alice, jim, Predicate.INV_CHILD)
     c = close_graph(g, rb)
     assert c.predicate(bob, jim) is Predicate.INV_GRAND
 
@@ -152,10 +152,10 @@ def test_close_contains_grandfather_chain(rb):
 def test_close_conflict_error(rb):
     # (x,y) derives sibling via z1 and in-law via z2 in the same round
     g = KinshipGraph()
-    x = g.add_entity(M).id
-    z1 = g.add_entity(M).id
-    z2 = g.add_entity(F).id
-    y = g.add_entity(M).id
+    x = g.add_entity(M)
+    z1 = g.add_entity(M)
+    z2 = g.add_entity(F)
+    y = g.add_entity(M)
     g.add_edge(x, z1, Predicate.CHILD)
     g.add_edge(z1, y, Predicate.INV_UN)
     g.add_edge(x, z2, Predicate.CHILD)
@@ -167,9 +167,9 @@ def test_close_conflict_error(rb):
 def test_close_never_overwrites_existing_labels(rb):
     # a pre-labeled pair is skipped even when a different head is derivable
     g = KinshipGraph()
-    a = g.add_entity(M).id
-    b = g.add_entity(F).id
-    c = g.add_entity(M).id
+    a = g.add_entity(M)
+    b = g.add_entity(F)
+    c = g.add_entity(M)
     g.add_edge(a, b, Predicate.CHILD)
     g.add_edge(b, c, Predicate.CHILD)
     g.add_edge(a, c, Predicate.SIBLING)
@@ -179,8 +179,8 @@ def test_close_never_overwrites_existing_labels(rb):
 
 def test_graph_edge_rules():
     g = KinshipGraph()
-    a = g.add_entity(M).id
-    b = g.add_entity(F).id
+    a = g.add_entity(M)
+    b = g.add_entity(F)
     with pytest.raises(ConfigError):
         g.add_edge(a, a, Predicate.SO)
     with pytest.raises(ConfigError):
@@ -200,19 +200,20 @@ def test_default_name_pool_is_balanced():
     assert len({name for name, _ in pool}) == 300
 
 
-def test_assign_names_distinct_and_gendered(closed_world):
-    names = [e.name for e in closed_world.entities.values()]
+def test_assign_names_distinct_and_gendered(closed_world, world_names):
+    assert world_names.keys() == closed_world.entities.keys()
+    names = list(world_names.values())
     assert all(names)
     assert len(set(names)) == len(names)
     pool = dict(default_name_pool())
-    for e in closed_world.entities.values():
-        assert pool[e.name] is e.gender
+    for entity_id, name in world_names.items():
+        assert pool[name] is closed_world.gender(entity_id)
 
 
 def test_assign_names_seed_sensitivity():
     g = generate_backbone(BackboneParams(seed=0))
     draws = {
-        tuple(e.name for e in assign_names(g, seed=s).entities.values())
+        tuple(sorted(assign_names(g, seed=s).items()))
         for s in range(100)
     }
     assert len(draws) > 95
@@ -234,6 +235,13 @@ def test_load_name_pool_rejects_duplicates(tmp_path):
         load_name_pool(path)
 
 
+def test_load_name_pool_names_a_non_utf8_file(tmp_path):
+    path = tmp_path / "names.txt"
+    path.write_bytes(b"Alice,female\n\xff\n")
+    with pytest.raises(ConfigError, match="names.txt: not UTF-8 text"):
+        load_name_pool(path)
+
+
 def test_fact_str():
     assert str(Fact(1, 2, Predicate.CHILD)) == "child(1,2)"
 
@@ -244,10 +252,7 @@ def test_backbone_id_base_shifts_every_id():
     assert based.facts() == tuple(
         Fact(f.src + 100, f.dst + 100, f.pred) for f in plain.facts()
     )
-    assert {i: e.gender for i, e in based.entities.items()} == {
-        i + 100: e.gender for i, e in plain.entities.items()
-    }
-    assert based.backbone == {(a + 100, b + 100) for a, b in plain.backbone}
+    assert based.entities == {i + 100: gender for i, gender in plain.entities.items()}
 
 
 @st.composite

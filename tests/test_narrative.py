@@ -18,7 +18,6 @@ from kinship_forge.errors import (
 )
 from kinship_forge.narrative import (
     AnswerLeakWarning,
-    Naming,
     Split,
     Template,
     TemplateBank,
@@ -274,9 +273,9 @@ def story_setup(closed_world):
     return closed_world, chain, noise
 
 
-def test_render_fills_every_slot(story_setup, tagged_bank):
+def test_render_fills_every_slot(story_setup, tagged_bank, world_names):
     g, chain, noise = story_setup
-    r = render_story(chain, [noise], tagged_bank, g.entities, Split.TRAIN, seed=1)
+    r = render_story(chain, [noise], tagged_bank, world_names, Split.TRAIN, seed=1)
     assert "[ENT_" not in r.text
     assert r.template_ids
 
@@ -288,9 +287,9 @@ def expected_sentences(g, facts, token_of):
     ]
 
 
-def test_render_keeps_main_order_and_noise_contiguous(story_setup, plain_bank):
+def test_render_keeps_main_order_and_noise_contiguous(story_setup, plain_bank, world_names):
     g, chain, noise = story_setup
-    r = render_story(chain, [noise], plain_bank, g.entities, Split.TRAIN, seed=11)
+    r = render_story(chain, [noise], plain_bank, world_names, Split.TRAIN, seed=11)
     sentences = re.split(r"(?<=[.!?])\s+", r.text)
     token_of = r.entity_mentions
     main = expected_sentences(g, chain.facts, token_of)
@@ -301,18 +300,18 @@ def test_render_keeps_main_order_and_noise_contiguous(story_setup, plain_bank):
     assert sentences[start : start + len(noise_sents)] == noise_sents
 
 
-def test_render_uses_entity_names(story_setup, tagged_bank):
+def test_render_uses_entity_names(story_setup, tagged_bank, world_names):
     g, chain, noise = story_setup
-    r = render_story(chain, [], tagged_bank, g.entities, Split.TRAIN, seed=2)
+    r = render_story(chain, [], tagged_bank, world_names, Split.TRAIN, seed=2)
     for entity_id, token in r.entity_mentions.items():
-        assert token == g.entities[entity_id].name
+        assert token == world_names[entity_id]
         assert token in r.text
 
 
 def test_render_cloze_tokens(story_setup, tagged_bank):
     g, chain, noise = story_setup
     r = render_story(
-        chain, [noise], tagged_bank, g.entities, Split.TRAIN, naming=Naming.CLOZE, seed=2
+        chain, [noise], tagged_bank, None, Split.TRAIN, seed=2
     )
     tokens = list(r.entity_mentions.values())
     assert len(set(tokens)) == len(tokens)
@@ -325,8 +324,7 @@ def test_render_cloze_pool_exhaustion(story_setup, tagged_bank):
     g, chain, noise = story_setup
     with pytest.raises(PoolExhaustedError):
         render_story(
-            chain, [], tagged_bank, g.entities, Split.TRAIN,
-            naming=Naming.CLOZE, seed=2, cloze_pool_size=2,
+            chain, [], tagged_bank, None, Split.TRAIN, seed=2, cloze_pool_size=2
         )
 
 
@@ -335,8 +333,7 @@ def test_render_cloze_resamples_per_story(story_setup, tagged_bank):
     draws = {
         tuple(
             render_story(
-                chain, [], tagged_bank, g.entities, Split.TRAIN,
-                naming=Naming.CLOZE, seed=s,
+                chain, [], tagged_bank, None, Split.TRAIN, seed=s
             ).entity_mentions.values()
         )
         for s in range(20)
@@ -344,26 +341,24 @@ def test_render_cloze_resamples_per_story(story_setup, tagged_bank):
     assert len(draws) > 15
 
 
-def test_render_deterministic(story_setup, tagged_bank):
+def test_render_deterministic(story_setup, tagged_bank, world_names):
     g, chain, noise = story_setup
-    one = render_story(chain, [noise], tagged_bank, g.entities, Split.TRAIN, seed=4)
-    two = render_story(chain, [noise], tagged_bank, g.entities, Split.TRAIN, seed=4)
+    one = render_story(chain, [noise], tagged_bank, world_names, Split.TRAIN, seed=4)
+    two = render_story(chain, [noise], tagged_bank, world_names, Split.TRAIN, seed=4)
     assert one == two
 
 
 def test_render_requires_names(story_setup, tagged_bank):
     g, chain, noise = story_setup
-    from kinship_forge.familygraph import Entity
-
-    nameless = {i: Entity(i, e.gender, "") for i, e in g.entities.items()}
+    nameless = {i: "" for i in g.entities}
     with pytest.raises(ConfigError):
         render_story(chain, [], tagged_bank, nameless, Split.TRAIN, seed=1)
+    with pytest.raises(ConfigError):
+        render_story(chain, [], tagged_bank, {}, Split.TRAIN, seed=1)
 
 
 def test_render_rejects_name_collisions(story_setup, tagged_bank):
     g, chain, noise = story_setup
-    from kinship_forge.familygraph import Entity
-
-    clashing = {i: Entity(i, e.gender, "Same") for i, e in g.entities.items()}
+    clashing = {i: "Same" for i in g.entities}
     with pytest.raises(ConfigError):
         render_story(chain, [], tagged_bank, clashing, Split.TRAIN, seed=1)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -115,7 +120,29 @@ def test_solve_witness_is_first_derivable_path(rb):
     result = solve(facts, (0, 4), {4: F}, rb, name_of="ABXZC".__getitem__)
     assert result.label == "granddaughter"
     assert result.proof == "(SO(A,B) + (child(B,Z) + child(Z,C) => grand) => grand)"
-    assert [(f.src, f.dst) for f in result.path] == [(0, 1), (1, 3), (3, 4)]
+
+
+def test_solve_result_does_not_depend_on_hash_seed():
+    # grand(0,1) and SO(0,1) share one pair, so its predicate set has two
+    # members whose iteration order follows PYTHONHASHSEED
+    script = (
+        "from kinship_forge.familygraph import Fact\n"
+        "from kinship_forge.ontology import Gender, Predicate as P\n"
+        "from kinship_forge.solver import solve\n"
+        "facts = [Fact(0, 1, P.GRAND), Fact(0, 1, P.SO), Fact(1, 2, P.CHILD)]\n"
+        "print(repr(solve(facts, (0, 2), {2: Gender.FEMALE})))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(done.stdout)
+    assert "SO(0,1) + child(1,2)" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_uses_inverse_spellings(rb):
