@@ -9,9 +9,10 @@ a simple path whose fold rederives the target.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .errors import ClosureConflictError, ConfigError, NoiseSearchError, UnexpandableError
 from .familygraph import (
@@ -66,12 +67,22 @@ class NoiseKind(Enum):
 
 
 def sample_target(g: KinshipGraph, seed: int = 0) -> TargetFact:
-    """Uniform draw over every edge of the graph."""
-    facts = g.facts()
-    if not facts:
+    """Uniform draw over every edge of the graph.
+
+    Draws an index into the sorted edges, as choice(g.facts()) would,
+    and walks the adjacency to it without building the facts.
+    """
+    count = g.edge_count
+    if not count:
         raise ConfigError("cannot sample a target from an edgeless graph")
-    fact = random.Random(seed).choice(facts)
-    return TargetFact(fact.src, fact.dst, fact.pred)
+    index = random.Random(seed).choice(range(count))
+    for src in sorted(g.entities):
+        out = g.out_of(src)
+        if index < len(out):
+            break
+        index -= len(out)
+    dst = sorted(out)[index]
+    return TargetFact(src, dst, out[dst])
 
 
 # fresh expansions backward_chain tries before it gives up
@@ -91,7 +102,8 @@ def backward_chain(
     rules with at least one valid grounding, then a midpoint uniformly.
     Midpoints already on the path are rejected. An attempt with an
     unexpandable pick restarts from scratch; the restart budget exhausted
-    raises UnexpandableError.
+    raises UnexpandableError. A target with no grounding at all raises
+    it at once, since every restart would stop at its first step.
     """
     if rb is None:
         rb = default_rulebase()
@@ -99,6 +111,9 @@ def backward_chain(
         raise ConfigError(f"chain length must be >= 1, got {k}")
     if g.predicate(target.head, target.tail) is not target.pred:
         raise ConfigError(f"target {target} is not an edge of the graph")
+    first_options = _groundings(g, rb, target.as_fact(), {target.head, target.tail})
+    if k > 1 and not first_options:
+        raise UnexpandableError(f"no length-{k} expansion of {target}: it has no grounding")
     rng = random.Random(seed)
     for _ in range(MAX_RESTARTS):
         facts = [target.as_fact()]
@@ -106,18 +121,10 @@ def backward_chain(
         while len(facts) < k:
             index = rng.randrange(len(facts))
             fact = facts[index]
-            options: list[tuple[Rule, list[int]]] = []
-            for rule in rb.rules_for_head(fact.pred):
-                first, second = rule.body
-                midpoints = sorted(
-                    z
-                    for z, pred in g.out_of(fact.src).items()
-                    if pred is first
-                    and z not in on_path
-                    and g.predicate(z, fact.dst) is second
-                )
-                if midpoints:
-                    options.append((rule, midpoints))
+            if len(facts) == 1:
+                options = first_options
+            else:
+                options = _groundings(g, rb, fact, on_path)
             if not options:
                 break
             rule, midpoints = rng.choice(options)
@@ -132,6 +139,26 @@ def backward_chain(
     raise UnexpandableError(
         f"no length-{k} expansion of {target} within {MAX_RESTARTS} restarts"
     )
+
+
+def _groundings(
+    g: KinshipGraph, rb: RuleBase, fact: Fact, on_path: set[int]
+) -> list[tuple[Rule, list[int]]]:
+    """Each rule deriving fact through a midpoint off the path, with those
+    midpoints ascending; rules in rules_for_head order."""
+    out_by_pred = g.out_by_pred(fact.src)
+    into_dst = g.in_of(fact.dst)
+    options = []
+    for rule in rb.rules_for_head(fact.pred):
+        first, second = rule.body
+        midpoints = [
+            z
+            for z in out_by_pred.get(first, ())
+            if z not in on_path and into_dst.get(z) is second
+        ]
+        if midpoints:
+            options.append((rule, midpoints))
+    return options
 
 
 def _pick_path(
@@ -214,15 +241,18 @@ def sample_disconnected_noise(
     seed: int = 0,
     id_offset: int = 0,
     rb: RuleBase | None = None,
+    close: Callable[[KinshipGraph], KinshipGraph] | None = None,
 ) -> tuple[FactPath, KinshipGraph]:
     """A 1-3 edge path in a fresh, unrelated closed family graph.
 
     The world is built with ids from id_offset, to stay disjoint from the
-    caller's graph; the returned graph is unnamed, and callers must name
-    it disjointly from the story's other entities. params gives the
-    world's shape only: world attempt i is seeded with seed + i, and
-    params.seed is ignored.
+    caller's graph, and closed by close (default: close_graph under rb);
+    the returned graph is unnamed, and callers must name it disjointly
+    from the story's other entities. params gives the world's shape only:
+    world attempt i is seeded with seed + i, and params.seed is ignored.
     """
+    if close is None:
+        close = partial(close_graph, rb=rb)
     rng = random.Random(seed)
     for attempt in range(20):
         world = generate_backbone(
@@ -232,7 +262,7 @@ def sample_disconnected_noise(
             id_offset,
         )
         try:
-            closed = close_graph(world, rb)
+            closed = close(world)
         except ClosureConflictError:
             continue
         starts = sorted(closed.entities)

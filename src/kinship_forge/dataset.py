@@ -17,7 +17,7 @@ import os
 import random
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -66,6 +66,9 @@ from .solver import MAX_PATH_LEN, solve
 
 _NOISE_WORLD_PARAMS = BackboneParams(generations=2, max_children=3)
 _NOISE_ID_OFFSET = 10_000
+# closed worlds a RowGenerator keeps: the default backbone has 84
+# structures and the noise world 3, so the bound only guards other params
+_MAX_CLOSED_WORLDS = 1024
 
 
 def derive_seed(*parts: object) -> int:
@@ -237,7 +240,8 @@ class RowGenerator:
     noise, story, certify; retried until the solver certifies a row.
 
     `held` maps each train k to its held-out shape ids; `pool` is the
-    name pool, None under cloze naming.
+    name pool, None under cloze naming. `closed_worlds` maps a backbone
+    structure to its closure, filled as structures first occur.
     """
 
     cfg: SplitConfig
@@ -245,6 +249,9 @@ class RowGenerator:
     held: dict[int, frozenset[str]]
     rb: RuleBase
     pool: tuple[tuple[str, Gender], ...] | None
+    closed_worlds: dict[tuple, KinshipGraph] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __call__(self, spec: tuple[str, int, int]) -> PuzzleRecord:
         split, k, index = spec
@@ -263,15 +270,28 @@ class RowGenerator:
             f"{self.cfg.max_row_attempts} attempts (last error: {last_error})"
         )
 
+    def _close(self, backbone: KinshipGraph) -> KinshipGraph:
+        """backbone closed under rb, sharing one closed world per structure.
+
+        The result shares its adjacency with every attempt of the same
+        structure, so it is read-only: nothing may add an edge to it.
+        Conflicting structures are not kept; they raise on every call.
+        """
+        key = backbone.structure()
+        closed = self.closed_worlds.get(key)
+        if closed is not None:
+            return closed.regendered(backbone.entities)
+        closed = close_graph(backbone, self.rb)
+        if len(self.closed_worlds) < _MAX_CLOSED_WORLDS:
+            self.closed_worlds[key] = closed
+        return closed
+
     def _attempt(
         self, split: str, k: int, index: int, row_seed: int, attempt: int
     ) -> PuzzleRecord | None:
         rb = self.rb
-        g = close_graph(
-            generate_backbone(
-                BackboneParams(seed=derive_seed(row_seed, attempt, "backbone"))
-            ),
-            rb,
+        g = self._close(
+            generate_backbone(BackboneParams(seed=derive_seed(row_seed, attempt, "backbone")))
         )
         target = sample_target(g, derive_seed(row_seed, attempt, "target"))
         chain = backward_chain(g, target, k, derive_seed(row_seed, attempt, "chain"), rb)
@@ -290,7 +310,7 @@ class RowGenerator:
                 noise_paths.append(sample_irrelevant_noise(g, chain, noise_seed))
             else:
                 noise_path, noise_world = sample_disconnected_noise(
-                    _NOISE_WORLD_PARAMS, noise_seed, id_offset=_NOISE_ID_OFFSET, rb=rb
+                    _NOISE_WORLD_PARAMS, noise_seed, _NOISE_ID_OFFSET, close=self._close
                 )
                 noise_paths.append(noise_path)
         genders = g.entities

@@ -55,7 +55,8 @@ class KinshipGraph:
     """Mutable relation graph over integer entity ids.
 
     `entities` maps each id to its gender. Keeps out- and in-adjacency
-    for the closure and the chain sampler. `id_base` offsets fresh ids so
+    for the closure and the chain sampler, and, built on demand, the
+    out-adjacency grouped by predicate. `id_base` offsets fresh ids so
     two graphs can stay disjoint.
     """
 
@@ -64,6 +65,7 @@ class KinshipGraph:
         self._id_base = id_base
         self._out: dict[int, dict[int, Predicate]] = {}
         self._in: dict[int, dict[int, Predicate]] = {}
+        self._by_pred: dict[int, dict[Predicate, list[int]]] = {}
 
     def add_entity(self, gender: Gender) -> int:
         """Add an entity of this gender and return its fresh id."""
@@ -85,6 +87,7 @@ class KinshipGraph:
             )
         self._out[src][dst] = pred
         self._in[dst][src] = pred
+        self._by_pred.pop(src, None)
 
     def predicate(self, src: int, dst: int) -> Predicate | None:
         out = self._out.get(src)
@@ -95,6 +98,38 @@ class KinshipGraph:
 
     def in_of(self, dst: int) -> dict[int, Predicate]:
         return self._in.get(dst, {})
+
+    def out_by_pred(self, src: int) -> dict[Predicate, list[int]]:
+        """src's out-neighbours grouped by edge predicate, ids ascending."""
+        grouped = self._by_pred.get(src)
+        if grouped is None:
+            out = self.out_of(src)
+            grouped = {}
+            for dst in sorted(out):
+                grouped.setdefault(out[dst], []).append(dst)
+            self._by_pred[src] = grouped
+        return grouped
+
+    def structure(self) -> tuple:
+        """The out-adjacency in insertion order, without genders.
+
+        close_graph never reads a gender, so two graphs with equal
+        structures close to the same edges.
+        """
+        return tuple((src, tuple(out.items())) for src, out in self._out.items())
+
+    def regendered(self, entities: dict[int, Gender]) -> "KinshipGraph":
+        """A graph with these genders over this graph's adjacency, shared, not copied.
+
+        entities must have this graph's ids. Neither graph may then gain
+        an edge, since the other would see it.
+        """
+        twin = KinshipGraph(self._id_base)
+        twin.entities = entities
+        twin._out = self._out
+        twin._in = self._in
+        twin._by_pred = self._by_pred
+        return twin
 
     def gender(self, entity_id: int) -> Gender:
         return self.entities[entity_id]

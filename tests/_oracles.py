@@ -71,7 +71,6 @@ def naive_close(g: KinshipGraph, rb: RuleBase) -> KinshipGraph:
                     f"pair ({x},{y}) derivable as {sorted(h.value for h in heads)}"
                 )
             out.add_edge(x, y, next(iter(heads)))
-    out.closed = True
     return out
 
 

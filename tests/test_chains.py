@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kinship_forge.chains import (
+    TargetFact,
     backward_chain,
     sample_disconnected_noise,
     sample_irrelevant_noise,
@@ -67,6 +70,14 @@ def test_sample_target_covers_many_edges(closed_world):
     assert len(edges) > closed_world.edge_count // 2
 
 
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=200))
+def test_sample_target_draws_like_choice_over_facts(seed, world_seed):
+    # the index draw keeps the RNG stream of choice over the sorted facts
+    g = world(world_seed)
+    expected = random.Random(seed).choice(g.facts())
+    assert sample_target(g, seed).as_fact() == expected
+
+
 def test_sample_target_requires_edges():
     from kinship_forge.ontology import Gender
 
@@ -124,6 +135,31 @@ def test_backward_chain_unexpandable_on_tiny_world():
     target = sample_target(TINY, seed=0)
     with pytest.raises(UnexpandableError):
         backward_chain(TINY, target, 3, seed=0)
+
+
+def has_grounding(g: KinshipGraph, rb, fact) -> bool:
+    return any(
+        rb.compose(g.predicate(fact.src, z), g.predicate(z, fact.dst)) is fact.pred
+        for z in g.out_of(fact.src)
+        if z != fact.dst and g.predicate(z, fact.dst) is not None
+    )
+
+
+@pytest.mark.parametrize("world_seed", [0, 2, 5, 11, 23])
+def test_backward_chain_stops_on_a_target_without_grounding(rb, world_seed):
+    g = world(world_seed)
+    ungrounded = 0
+    for fact in g.facts():
+        target = TargetFact(fact.src, fact.dst, fact.pred)
+        assert backward_chain(g, target, 1, seed=0).facts == (fact,)
+        if has_grounding(g, rb, fact):
+            assert backward_chain(g, target, 2, seed=0).k == 2
+            continue
+        ungrounded += 1
+        for k in range(2, 13):
+            with pytest.raises(UnexpandableError, match="no grounding"):
+                backward_chain(g, target, k, seed=world_seed)
+    assert ungrounded
 
 
 def supporting_case():

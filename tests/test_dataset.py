@@ -4,12 +4,14 @@ import re
 
 import pytest
 
+from kinship_forge import dataset
 from kinship_forge.chains import NoiseKind
 from kinship_forge.dataset import (
     COLUMNS,
     PRESETS,
     BankStats,
     PuzzleRecord,
+    RowGenerator,
     SplitConfig,
     compute_stats,
     derive_seed,
@@ -20,13 +22,19 @@ from kinship_forge.dataset import (
     _worker_count,
 )
 from kinship_forge.errors import ConfigError, SchemaError
+from kinship_forge.familygraph import (
+    BackboneParams,
+    KinshipGraph,
+    close_graph,
+    generate_backbone,
+)
 from kinship_forge.narrative import Naming, Split, Template, TemplateBank
 from kinship_forge.ontology import (
     Gender,
     Predicate,
     SURFACE_NAMES,
 )
-from _oracles import resolve_record
+from _oracles import naive_close, resolve_record
 
 FACT_RE = re.compile(r"([a-z-]+|SO)\(([^,]+),([^)]+)\)")
 
@@ -178,6 +186,63 @@ def test_worker_count_clamps_to_specs_and_cpus():
     assert _worker_count(8, 3, 16) == 3
     assert _worker_count(4, 500, 16) == 4
     assert _worker_count(4, 0, 16) == 1
+
+
+def backbone_of(structure: tuple) -> KinshipGraph:
+    """A backbone with this structure (genders arbitrary)."""
+    g = KinshipGraph(id_base=structure[0][0])
+    for _ in structure:
+        g.add_entity(Gender.MALE)
+    for src, out in structure:
+        for dst, pred in out:
+            g.add_edge(src, dst, pred)
+    return g
+
+
+def test_each_default_structure_is_closed_once(rb, tri_bank):
+    # the founding couple has 1-3 children, each single or married with
+    # 1-3 children: 4 + 16 + 64 structures, which bounds the closed worlds
+    rows = RowGenerator(SplitConfig(), tri_bank, {}, rb, None)
+    by_structure: dict[tuple, list[KinshipGraph]] = {}
+    for seed in range(4000):
+        g = generate_backbone(BackboneParams(seed=seed))
+        by_structure.setdefault(g.structure(), []).append(g)
+    assert len(by_structure) == sum(4**n for n in (1, 2, 3)) == 84
+    for backbones in by_structure.values():
+        for g in backbones[:4]:  # a miss, then hits with other genders
+            assert rows._close(g) == naive_close(g, rb)
+    assert len(rows.closed_worlds) == 84
+
+
+@pytest.mark.parametrize(
+    "train_noise,test_noise",
+    [(NoiseKind.SUPPORTING, NoiseKind.DISCONNECTED), (NoiseKind.IRRELEVANT, None)],
+)
+def test_closed_worlds_are_left_as_closed(rb, tri_bank, monkeypatch, train_noise, test_noise):
+    # every attempt of a structure shares its closed world; none may change it
+    made: list[RowGenerator] = []
+
+    class Recording(RowGenerator):
+        def __call__(self, spec):
+            if not made:
+                made.append(self)
+            return super().__call__(spec)
+
+    monkeypatch.setattr(dataset, "RowGenerator", Recording)
+    cfg = SplitConfig(
+        train_ks=(2, 3), test_ks=(2, 3, 4, 5), n_train_per_k=30, n_test_per_k=10,
+        train_noise=train_noise, test_noise=test_noise, master_seed=9,
+    )
+    generate_dataset(cfg, tri_bank, rb)
+    worlds = made[0].closed_worlds
+    noise_worlds = [key for key in worlds if key[0][0] == 10_000]
+    assert len(worlds) > 20 and bool(noise_worlds) == (test_noise is NoiseKind.DISCONNECTED)
+    for structure, closed in worlds.items():
+        fresh = close_graph(backbone_of(structure), rb)
+        assert closed.structure() == fresh.structure()
+        for v in fresh.entities:
+            assert closed.in_of(v) == fresh.in_of(v)
+            assert closed.out_by_pred(v) == fresh.out_by_pred(v)
 
 
 @pytest.mark.parametrize("kind", list(NoiseKind))

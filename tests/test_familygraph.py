@@ -192,6 +192,27 @@ def test_graph_edge_rules():
         g.add_edge(a, b, Predicate.SIBLING)
 
 
+def test_out_by_pred_groups_ascending_and_follows_new_edges():
+    g = KinshipGraph()
+    a, b, c, d, e = (g.add_entity(M) for _ in range(5))
+    g.add_edge(a, d, Predicate.SIBLING)
+    g.add_edge(a, b, Predicate.SIBLING)
+    g.add_edge(a, e, Predicate.CHILD)
+    assert g.out_by_pred(a) == {Predicate.SIBLING: [b, d], Predicate.CHILD: [e]}
+    g.add_edge(a, c, Predicate.CHILD)
+    assert g.out_by_pred(a) == {Predicate.SIBLING: [b, d], Predicate.CHILD: [c, e]}
+    assert g.out_by_pred(b) == {}
+
+
+def test_regendered_shares_the_adjacency():
+    g = closed(0)
+    twin = g.regendered({i: M for i in g.entities})
+    assert twin.facts() == g.facts() and twin.structure() == g.structure()
+    assert set(twin.entities.values()) == {M}
+    assert twin.out_of(0) is g.out_of(0)
+    assert twin.out_by_pred(0) is g.out_by_pred(0)
+
+
 def test_default_name_pool_is_balanced():
     pool = default_name_pool()
     assert len(pool) == 300
