@@ -23,7 +23,7 @@ from .familygraph import (
     generate_backbone,
     simple_paths,
 )
-from .ontology import Atom, Predicate, Rule, RuleBase, default_rulebase
+from .ontology import Atom, Predicate, Rule, RuleBase
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def backward_chain(
     g: KinshipGraph,
     target: TargetFact,
     k: int,
-    seed: int = 0,
-    rb: RuleBase | None = None,
+    seed: int,
+    rb: RuleBase,
 ) -> FactPath:
     """Expand target into a k-fact simple path of graph edges.
 
@@ -105,8 +105,6 @@ def backward_chain(
     raises UnexpandableError. A target with no grounding at all raises
     it at once, since every restart would stop at its first step.
     """
-    if rb is None:
-        rb = default_rulebase()
     if k < 1:
         raise ConfigError(f"chain length must be >= 1, got {k}")
     if g.predicate(target.head, target.tail) is not target.pred:
@@ -238,27 +236,25 @@ def sample_irrelevant_noise(
 
 def sample_disconnected_noise(
     params: BackboneParams,
-    seed: int = 0,
-    id_offset: int = 0,
-    rb: RuleBase | None = None,
+    seed: int,
+    id_offset: int,
+    rb: RuleBase,
     close: Callable[[KinshipGraph], KinshipGraph] | None = None,
 ) -> tuple[FactPath, KinshipGraph]:
     """A 1-3 edge path in a fresh, unrelated closed family graph.
 
     The world is built with ids from id_offset, to stay disjoint from the
-    caller's graph, and closed by close (default: close_graph under rb);
-    the returned graph is unnamed, and callers must name it disjointly
-    from the story's other entities. params gives the world's shape only:
-    world attempt i is seeded with seed + i, and params.seed is ignored.
+    caller's graph, and closed by close_graph under rb, or by close in its
+    place when given. The returned graph is unnamed; callers must name it
+    disjointly from the story's other entities. params gives the world's
+    shape only: world attempt i is seeded with seed + i, not params.seed.
     """
     if close is None:
         close = partial(close_graph, rb=rb)
     rng = random.Random(seed)
     for attempt in range(20):
         world = generate_backbone(
-            BackboneParams(
-                params.generations, params.max_children, params.p_marry, seed + attempt
-            ),
+            BackboneParams(params.generations, params.max_children, seed + attempt),
             id_offset,
         )
         try:

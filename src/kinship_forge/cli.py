@@ -193,7 +193,7 @@ def _resolve_bank(args: argparse.Namespace, cfg: SplitConfig, rb: RuleBase):
     if args.bank:
         return load_bank(args.bank, rb)
     variants = 3 if cfg.template_holdout_frac > 0 else 1
-    return synth_bank(rb, max_k=3, variants=variants)
+    return synth_bank(rb, variants=variants)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

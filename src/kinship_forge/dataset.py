@@ -60,7 +60,7 @@ from .narrative import (
     split_bank,
 )
 from .ontology import (
-    Gender, RuleBase, default_rulebase, enumerate_shapes, shape_id, shape_keys, surface
+    Gender, RuleBase, enumerate_shapes, shape_id, shape_keys, surface
 )
 from .solver import MAX_PATH_LEN, solve
 
@@ -300,19 +300,18 @@ class RowGenerator:
         if split == "train" and sid in held_out:
             return None
         noise_kind = self.cfg.noise_for(split)
-        noise_paths: list[FactPath] = []
+        noise: FactPath | None = None
         noise_world: KinshipGraph | None = None
         if noise_kind is not None:
             noise_seed = derive_seed(row_seed, attempt, "noise")
             if noise_kind is NoiseKind.SUPPORTING:
-                noise_paths.append(sample_supporting_noise(g, chain, noise_seed))
+                noise = sample_supporting_noise(g, chain, noise_seed)
             elif noise_kind is NoiseKind.IRRELEVANT:
-                noise_paths.append(sample_irrelevant_noise(g, chain, noise_seed))
+                noise = sample_irrelevant_noise(g, chain, noise_seed)
             else:
-                noise_path, noise_world = sample_disconnected_noise(
-                    _NOISE_WORLD_PARAMS, noise_seed, _NOISE_ID_OFFSET, close=self._close
+                noise, noise_world = sample_disconnected_noise(
+                    _NOISE_WORLD_PARAMS, noise_seed, _NOISE_ID_OFFSET, rb, close=self._close
                 )
-                noise_paths.append(noise_path)
         genders = g.entities
         names = None
         if self.pool is not None:
@@ -326,7 +325,7 @@ class RowGenerator:
                 names.update(assign_names(noise_world, rest, world_seed))
         rendered = render_story(
             chain,
-            noise_paths,
+            noise,
             self.bank,
             names,
             split=Split.TRAIN if split == "train" else Split.TEST,
@@ -339,7 +338,7 @@ class RowGenerator:
         base = solve(chain.facts, query, genders_by_id, rb, name_of=name_of)
         if base.predicate is not target.pred:
             return None
-        noise_facts = tuple(f for np in noise_paths for f in np.facts)
+        noise_facts = noise.facts if noise else ()
         if noise_facts:
             full = solve(
                 chain.facts + noise_facts, query, genders_by_id, rb, name_of=name_of
@@ -402,7 +401,7 @@ def _usable_cpus() -> int:
 def generate_dataset(
     cfg: SplitConfig,
     bank: TemplateBank,
-    rb: RuleBase | None = None,
+    rb: RuleBase,
     jobs: int = 1,
 ) -> tuple[list[PuzzleRecord], list[PuzzleRecord], dict]:
     """Produce (train rows, test rows, manifest) for one configuration.
@@ -411,8 +410,6 @@ def generate_dataset(
     jobs. Held-out shapes are excluded from train rows; test rows carry
     a flag instead so both regimes stay measurable.
     """
-    if rb is None:
-        rb = default_rulebase()
     prepared = _prepare_bank(bank, cfg)
     _check_atom_coverage(prepared, rb)
     held = draw_held_out_shapes(cfg, rb)
@@ -546,6 +543,9 @@ def _record_from_mapping(obj: dict, origin: str) -> PuzzleRecord:
     missing = [c for c in COLUMNS if c not in obj]
     if missing:
         raise SchemaError(f"{origin}: missing column(s) {', '.join(missing)}")
+    for col, kind in (("k", int), ("seed", int), ("shape_held_out", bool)):
+        if type(obj[col]) is not kind:  # not isinstance: True must not pass as a k
+            raise SchemaError(f"{origin}: {col} must be {kind.__name__}, got {obj[col]!r}")
     for col in ("facts", "noise_facts", "template_ids"):
         if isinstance(obj[col], list):
             obj[col] = tuple(obj[col])

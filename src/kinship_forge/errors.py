@@ -68,7 +68,7 @@ class AmbiguousAnswerError(KinshipForgeError):
 
 
 class EnumerationCapError(KinshipForgeError):
-    """Shape enumeration requested beyond the configured length cap."""
+    """Shape enumeration requested beyond its length cap, MAX_SHAPE_LEN."""
 
 
 class GenerationBudgetError(KinshipForgeError):

@@ -20,7 +20,7 @@ from .errors import (
     PoolExhaustedError,
     read_utf8,
 )
-from .ontology import Gender, Predicate, RuleBase, default_rulebase, parse_gender
+from .ontology import Gender, Predicate, RuleBase, parse_gender
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class Fact:
 class BackboneParams:
     generations: int = 3
     max_children: int = 3
-    p_marry: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -47,8 +46,6 @@ class BackboneParams:
             raise ConfigError("generations must be >= 2")
         if self.max_children < 1:
             raise ConfigError("max_children must be >= 1")
-        if not 0.0 <= self.p_marry <= 1.0:
-            raise ConfigError("p_marry must lie in [0, 1]")
 
 
 class KinshipGraph:
@@ -190,7 +187,7 @@ def generate_backbone(params: BackboneParams, id_base: int = 0) -> KinshipGraph:
 
     Couples draw Uniform{1..max_children} children with fair coin genders.
     Every non-final-generation person marries a fresh opposite-gender
-    entity with probability p_marry; only couples bear children. Entity
+    entity with probability 1/2; only couples bear children. Entity
     ids count up from id_base.
     """
     rng = random.Random(params.seed)
@@ -216,7 +213,7 @@ def generate_backbone(params: BackboneParams, id_base: int = 0) -> KinshipGraph:
                         g.add_edge(x, y, Predicate.SIBLING)
             if gen + 1 < params.generations:
                 for kid in kids:
-                    if rng.random() < params.p_marry:
+                    if rng.random() < 0.5:
                         spouse = g.add_entity(g.gender(kid).opposite)
                         _marry(g, kid, spouse)
                         next_couples.append((kid, spouse))
@@ -231,7 +228,7 @@ def _marry(g: KinshipGraph, a: int, b: int) -> None:
     g.add_edge(b, a, Predicate.SO)
 
 
-def close_graph(g: KinshipGraph, rb: RuleBase | None = None) -> KinshipGraph:
+def close_graph(g: KinshipGraph, rb: RuleBase) -> KinshipGraph:
     """Least-fixpoint rule closure, in rounds, shortest derivation first.
 
     Each round derives heads for X -> Z -> Y chains over the current
@@ -240,8 +237,6 @@ def close_graph(g: KinshipGraph, rb: RuleBase | None = None) -> KinshipGraph:
     round mean the world is inconsistent; callers resample the backbone.
     Idempotent, and independent of scan order by round construction.
     """
-    if rb is None:
-        rb = default_rulebase()
     out = g.copy()
     frontier: list[tuple[int, int]] = [(f.src, f.dst) for f in out.facts()]
     while frontier:
@@ -295,12 +290,10 @@ def default_name_pool() -> tuple[tuple[str, Gender], ...]:
 
 def assign_names(
     g: KinshipGraph,
-    pool: tuple[tuple[str, Gender], ...] | None = None,
+    pool: tuple[tuple[str, Gender], ...],
     seed: int = 0,
 ) -> dict[int, str]:
     """Map each entity id of g to a fresh gender-matched, graph-unique name."""
-    if pool is None:
-        pool = default_name_pool()
     rng = random.Random(seed)
     names_of: dict[int, str] = {}
     for gender in Gender:

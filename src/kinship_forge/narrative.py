@@ -33,7 +33,6 @@ from .ontology import (
     Atom,
     RuleBase,
     atom_sort_key,
-    default_rulebase,
     enumerate_shapes,
     parse_gender,
     parse_predicate,
@@ -45,6 +44,8 @@ from .solver import fold_predicates
 SLOT_RE = re.compile(r"\[ENT_(\d+)\]")
 _BRACKET_RE = re.compile(r"\[[^\]]*\]")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
+# a cloze story tells its entities as @entity-0 .. @entity-99
+CLOZE_TOKENS = 100
 
 
 class Split(Enum):
@@ -138,10 +139,8 @@ def _check_leak(template: Template, rb: RuleBase) -> None:
             )
 
 
-def load_bank(path: str | Path, rb: RuleBase | None = None) -> TemplateBank:
+def load_bank(path: str | Path, rb: RuleBase) -> TemplateBank:
     """Parse a line-delimited JSON bank; leaky templates warn, not fail."""
-    if rb is None:
-        rb = default_rulebase()
     templates = []
     for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
@@ -176,21 +175,18 @@ _VARIANT_PATTERNS = (
 )
 
 
-def synth_bank(
-    rb: RuleBase | None = None, max_k: int = 3, variants: int = 1
-) -> TemplateBank:
-    """Deterministic bank covering every enumerable key up to max_k.
+def synth_bank(rb: RuleBase, variants: int = 1) -> TemplateBank:
+    """Deterministic bank covering every enumerable key of 1-3 facts, the
+    segment lengths a story renders in.
 
     variant 0 renders each fact as "[ENT_i] is the <relation> of
     [ENT_i-1]."; further variants use alternate fixed phrasings so the
     bank can survive a template split.
     """
-    if rb is None:
-        rb = default_rulebase()
     if not 1 <= variants <= len(_VARIANT_PATTERNS):
         raise ConfigError(f"variants must lie in 1..{len(_VARIANT_PATTERNS)}")
     templates = []
-    for k in range(1, max_k + 1):
+    for k in (1, 2, 3):
         for index, key in enumerate(shape_keys(enumerate_shapes(k, rb))):
             for v in range(variants):
                 sentences = [
@@ -298,31 +294,30 @@ def _render_path(
 
 def render_story(
     chain: FactPath,
-    noise: Sequence[FactPath],
+    noise: FactPath | None,
     bank: TemplateBank,
     names: Mapping[int, str] | None,
     split: Split = Split.UNSPLIT,
     seed: int = 0,
-    cloze_pool_size: int = 100,
 ) -> StoryRender:
-    """Compose the story text for a chain plus noise paths.
+    """Compose the story text for a chain plus an optional noise path.
 
-    Main-fact sentences keep path order; each noise path renders as its
-    own contiguous block inserted at a uniformly chosen sentence boundary
-    of the main narrative. Entities are told by their names, or, when
-    names is None, by cloze tokens resampled per story.
+    Main-fact sentences keep path order; the noise path renders as one
+    contiguous block inserted at a uniformly chosen sentence boundary of
+    the main narrative. Entities are told by their names, or, when names
+    is None, by cloze tokens resampled per story.
     """
     rng = random.Random(seed)
     story_entities: list[int] = []
-    for vertex in chain.vertices + tuple(v for np in noise for v in np.vertices):
+    for vertex in chain.vertices + (noise.vertices if noise else ()):
         if vertex not in story_entities:
             story_entities.append(vertex)
     if names is None:
-        if len(story_entities) > cloze_pool_size:
+        if len(story_entities) > CLOZE_TOKENS:
             raise PoolExhaustedError(
-                f"story needs {len(story_entities)} cloze tokens, pool has {cloze_pool_size}"
+                f"story needs {len(story_entities)} cloze tokens, pool has {CLOZE_TOKENS}"
             )
-        pool = [f"@entity-{n}" for n in range(cloze_pool_size)]
+        pool = [f"@entity-{n}" for n in range(CLOZE_TOKENS)]
         drawn = rng.sample(pool, len(story_entities))
         token_of = dict(zip(story_entities, drawn))
     else:
@@ -334,23 +329,16 @@ def render_story(
             token_of[vertex] = name
         if len(set(token_of.values())) != len(token_of):
             raise ConfigError("entity names collide within one story")
-    main_sentences, template_ids = _render_path(
+    sentences, template_ids = _render_path(
         rng, chain.atoms, chain.vertices, token_of, bank, split
     )
-    insertions: list[tuple[int, list[str]]] = []
-    for noise_path in noise:
+    if noise is not None:
         noise_sentences, noise_ids = _render_path(
-            rng, noise_path.atoms, noise_path.vertices, token_of, bank, split
+            rng, noise.atoms, noise.vertices, token_of, bank, split
         )
         template_ids.extend(noise_ids)
-        insertions.append((rng.randint(0, len(main_sentences)), noise_sentences))
-    sentences: list[str] = []
-    for boundary in range(len(main_sentences) + 1):
-        for position, block in insertions:
-            if position == boundary:
-                sentences.extend(block)
-        if boundary < len(main_sentences):
-            sentences.append(main_sentences[boundary])
+        boundary = rng.randint(0, len(sentences))
+        sentences[boundary:boundary] = noise_sentences
     return StoryRender(
         text=" ".join(sentences),
         entity_mentions={v: token_of[v] for v in story_entities},

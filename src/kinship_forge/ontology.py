@@ -89,8 +89,6 @@ _SURFACE_INVERSE: dict[str, tuple[Predicate, Gender]] = {
     name: pair for pair, name in _SURFACE.items()
 }
 
-SURFACE_NAMES: tuple[str, ...] = tuple(_SURFACE.values())
-
 
 def surface(predicate: Predicate, gender: Gender) -> str:
     """Gendered surface name of a fact whose second constant has `gender`."""
@@ -198,14 +196,8 @@ class RuleBase:
             seen.update(rule.body)
         return tuple(sorted(seen, key=PREDICATE_ORDER.__getitem__))
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RuleBase) and self.rules == other.rules
-
-    def __hash__(self) -> int:
-        return hash(self.rules)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RuleBase":
@@ -253,9 +245,6 @@ class ClauseShape:
     atoms: tuple[Atom, ...]
     head: Atom
 
-    def __len__(self) -> int:
-        return len(self.atoms)
-
 
 def shape_id(atoms: Sequence[Atom]) -> str:
     """Compact stable identifier, e.g. 'child.f|SO.m'."""
@@ -293,9 +282,11 @@ def _expansions(shape: ClauseShape, rb: RuleBase) -> Iterable[ClauseShape]:
                     yield ClauseShape(atoms, shape.head)
 
 
-def enumerate_shapes(
-    k: int, rb: RuleBase | None = None, cap: int = 6
-) -> tuple[ClauseShape, ...]:
+# longest shape enumerate_shapes() builds; each level is about 7x the last
+MAX_SHAPE_LEN = 6
+
+
+def enumerate_shapes(k: int, rb: RuleBase) -> tuple[ClauseShape, ...]:
     """All distinct gendered shapes of length k reachable by rule expansion.
 
     Level 1 is every (rule-bearing predicate, gender) pair; each further
@@ -303,12 +294,10 @@ def enumerate_shapes(
     Returned in canonical order. Shapes are distinct (atoms, head) pairs;
     one atom list can carry several derivable heads.
     """
-    if rb is None:
-        rb = default_rulebase()
     if k < 1:
         raise ConfigError(f"shape length must be >= 1, got {k}")
-    if k > cap:
-        raise EnumerationCapError(f"shape length {k} exceeds cap {cap}")
+    if k > MAX_SHAPE_LEN:
+        raise EnumerationCapError(f"shape length {k} exceeds cap {MAX_SHAPE_LEN}")
     level: set[ClauseShape] = {
         ClauseShape(((p, g),), (p, g)) for p in rb.rule_bearing for g in Gender
     }

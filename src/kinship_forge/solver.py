@@ -20,7 +20,6 @@ from .ontology import (
     PREDICATE_ORDER,
     Predicate,
     RuleBase,
-    default_rulebase,
     inverse_of,
     surface,
 )
@@ -32,10 +31,8 @@ SpanTable = dict[tuple[int, int], frozenset[Predicate]]
 MAX_PATH_LEN = 12
 
 
-def fold_predicates(preds: Sequence[Predicate], rb: RuleBase | None = None) -> frozenset[Predicate]:
+def fold_predicates(preds: Sequence[Predicate], rb: RuleBase) -> frozenset[Predicate]:
     """Every predicate derivable for the whole sequence, any bracketing."""
-    if rb is None:
-        rb = default_rulebase()
     table = _span_table([frozenset((p,)) for p in preds], rb)
     return table[(0, len(preds))]
 
@@ -106,8 +103,7 @@ def solve(
     facts: Iterable[Fact],
     query: tuple[int, int],
     genders: Mapping[int, Gender],
-    rb: RuleBase | None = None,
-    max_path_len: int = MAX_PATH_LEN,
+    rb: RuleBase,
     name_of=None,
 ) -> SolveResult:
     """Derive the unique relation label for query = (head, tail).
@@ -116,8 +112,6 @@ def solve(
     when no simple path derives anything, AmbiguousAnswerError when
     different paths or bracketings disagree.
     """
-    if rb is None:
-        rb = default_rulebase()
     if name_of is None:
         name_of = str
     facts = tuple(facts)
@@ -131,7 +125,7 @@ def solve(
     derived: set[Predicate] = set()
     witness_path: tuple[int, ...] | None = None
     witness_table: SpanTable | None = None
-    for vertices in simple_paths(adjacency.__getitem__, start, max_path_len, {goal}):
+    for vertices in simple_paths(adjacency.__getitem__, start, MAX_PATH_LEN, {goal}):
         if vertices[-1] != goal:
             continue
         table = _path_fold(vertices, pairs, rb)

@@ -17,6 +17,7 @@ from kinship_forge.ontology import (
     Predicate,
     RuleBase,
     genders_consistent,
+    parse_surface,
 )
 from kinship_forge.solver import SolveResult, solve
 
@@ -131,3 +132,28 @@ def all_simple_paths(
 
     walk((start,))
     return found
+
+
+# the synthetic bank's three sentence patterns, read backwards: A and B
+# are the fact's first and second tokens, REL the second one's relation
+_STORY_SENTENCES = (
+    re.compile(r"(?P<b>\S+) is the (?P<rel>[a-z-]+) of (?P<a>\S+)\."),
+    re.compile(r"The (?P<rel>[a-z-]+) of (?P<a>\S+) is (?P<b>\S+)\."),
+    re.compile(r"(?P<a>\S+) has a (?P<rel>[a-z-]+) named (?P<b>\S+)\."),
+)
+
+
+def story_facts(story: str) -> list[tuple[str, str]]:
+    """Every fact a synthetic-bank story tells, with its second entity's gender.
+
+    Each sentence must match exactly one pattern; the result pairs a fact
+    string, spelled as a row's `facts` are, with a gender value.
+    """
+    told = []
+    for sentence in re.split(r"(?<=\.) ", story):
+        matches = [m for p in _STORY_SENTENCES if (m := p.fullmatch(sentence))]
+        assert len(matches) == 1, sentence
+        m = matches[0]
+        pred, gender = parse_surface(m.group("rel"))
+        told.append((f"{pred.value}({m.group('a')},{m.group('b')})", gender.value))
+    return told

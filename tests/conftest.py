@@ -8,6 +8,7 @@ from kinship_forge.familygraph import (
     BackboneParams,
     assign_names,
     close_graph,
+    default_name_pool,
     generate_backbone,
 )
 from kinship_forge.narrative import split_bank, synth_bank
@@ -37,17 +38,17 @@ def closed_world(rb):
 
 @pytest.fixture(scope="session")
 def world_names(closed_world):
-    return assign_names(closed_world, seed=11)
+    return assign_names(closed_world, default_name_pool(), seed=11)
 
 
 @pytest.fixture(scope="session")
 def plain_bank(rb):
-    return synth_bank(rb, max_k=3, variants=1)
+    return synth_bank(rb, variants=1)
 
 
 @pytest.fixture(scope="session")
 def tri_bank(rb):
-    return synth_bank(rb, max_k=3, variants=3)
+    return synth_bank(rb, variants=3)
 
 
 @pytest.fixture(scope="session")

@@ -22,9 +22,11 @@ from kinship_forge.familygraph import (
 from kinship_forge.ontology import default_rulebase
 from kinship_forge.solver import fold_predicates
 
+RB = default_rulebase()
+
 
 def world(seed: int) -> KinshipGraph:
-    return close_graph(generate_backbone(BackboneParams(seed=seed)))
+    return close_graph(generate_backbone(BackboneParams(seed=seed)), RB)
 
 
 def find_cases(ks, per_k, max_seed=400):
@@ -36,7 +38,7 @@ def find_cases(ks, per_k, max_seed=400):
             g = world(seed)
             target = sample_target(g, seed)
             try:
-                backward_chain(g, target, k, seed)
+                backward_chain(g, target, k, seed, RB)
             except UnexpandableError:
                 continue
             cases.append((seed, k))
@@ -48,7 +50,7 @@ def find_cases(ks, per_k, max_seed=400):
 
 CASES = find_cases(ks=(2, 3, 4, 5), per_k=5)
 TINY = close_graph(
-    generate_backbone(BackboneParams(generations=2, max_children=1, p_marry=1.0, seed=0))
+    generate_backbone(BackboneParams(generations=2, max_children=1, seed=0)), RB
 )
 
 
@@ -91,7 +93,7 @@ def test_sample_target_requires_edges():
 def test_backward_chain_structure(rb, seed, k):
     g = world(seed)
     target = sample_target(g, seed)
-    chain = backward_chain(g, target, k, seed)
+    chain = backward_chain(g, target, k, seed, RB)
     assert chain.k == k == len(chain.facts)
     vertices = chain.vertices
     assert len(vertices) == k + 1
@@ -108,33 +110,33 @@ def test_backward_chain_structure(rb, seed, k):
 def test_backward_chain_deterministic_and_replayable(rb, seed, k):
     g = world(seed)
     target = sample_target(g, seed)
-    chain = backward_chain(g, target, k, seed)
-    again = backward_chain(g, target, k, seed)
+    chain = backward_chain(g, target, k, seed, RB)
+    again = backward_chain(g, target, k, seed, RB)
     assert chain == again
 
 
 def test_backward_chain_k1_is_the_target(closed_world):
     target = sample_target(closed_world, seed=1)
-    chain = backward_chain(closed_world, target, 1, seed=1)
+    chain = backward_chain(closed_world, target, 1, seed=1, rb=RB)
     assert chain.facts == (target.as_fact(),)
 
 
 def test_backward_chain_validates_inputs(closed_world):
     target = sample_target(closed_world, seed=0)
     with pytest.raises(ConfigError):
-        backward_chain(closed_world, target, 0, seed=0)
+        backward_chain(closed_world, target, 0, seed=0, rb=RB)
     from kinship_forge.chains import TargetFact
     from kinship_forge.ontology import Predicate
 
     bogus = TargetFact(0, 999, Predicate.CHILD)
     with pytest.raises(ConfigError):
-        backward_chain(closed_world, bogus, 2, seed=0)
+        backward_chain(closed_world, bogus, 2, seed=0, rb=RB)
 
 
 def test_backward_chain_unexpandable_on_tiny_world():
     target = sample_target(TINY, seed=0)
     with pytest.raises(UnexpandableError):
-        backward_chain(TINY, target, 3, seed=0)
+        backward_chain(TINY, target, 3, seed=0, rb=RB)
 
 
 def has_grounding(g: KinshipGraph, rb, fact) -> bool:
@@ -151,14 +153,14 @@ def test_backward_chain_stops_on_a_target_without_grounding(rb, world_seed):
     ungrounded = 0
     for fact in g.facts():
         target = TargetFact(fact.src, fact.dst, fact.pred)
-        assert backward_chain(g, target, 1, seed=0).facts == (fact,)
+        assert backward_chain(g, target, 1, seed=0, rb=RB).facts == (fact,)
         if has_grounding(g, rb, fact):
-            assert backward_chain(g, target, 2, seed=0).k == 2
+            assert backward_chain(g, target, 2, seed=0, rb=RB).k == 2
             continue
         ungrounded += 1
         for k in range(2, 13):
             with pytest.raises(UnexpandableError, match="no grounding"):
-                backward_chain(g, target, k, seed=world_seed)
+                backward_chain(g, target, k, seed=world_seed, rb=RB)
     assert ungrounded
 
 
@@ -168,7 +170,7 @@ def supporting_case():
             continue
         g = world(seed)
         target = sample_target(g, seed)
-        chain = backward_chain(g, target, k, seed)
+        chain = backward_chain(g, target, k, seed, RB)
         try:
             noise = sample_supporting_noise(g, chain, seed)
         except NoiseSearchError:
@@ -195,14 +197,14 @@ def test_supporting_noise_structure():
 
 def test_supporting_noise_needs_k2():
     target = sample_target(TINY, seed=0)
-    chain = backward_chain(TINY, target, 1, seed=0)
+    chain = backward_chain(TINY, target, 1, seed=0, rb=RB)
     with pytest.raises(ConfigError):
         sample_supporting_noise(TINY, chain, seed=0)
 
 
 def test_supporting_noise_exhaustion_on_tiny_world():
     target = sample_target(TINY, seed=0)
-    chain = backward_chain(TINY, target, 2, seed=0)
+    chain = backward_chain(TINY, target, 2, seed=0, rb=RB)
     with pytest.raises(NoiseSearchError):
         sample_supporting_noise(TINY, chain, seed=0)
 
@@ -211,7 +213,7 @@ def irrelevant_case():
     for seed, k in CASES:
         g = world(seed)
         target = sample_target(g, seed)
-        chain = backward_chain(g, target, k, seed)
+        chain = backward_chain(g, target, k, seed, RB)
         try:
             return g, chain, sample_irrelevant_noise(g, chain, seed)
         except NoiseSearchError:
@@ -231,16 +233,16 @@ def test_irrelevant_noise_structure():
 
 def test_irrelevant_noise_exhaustion_on_tiny_world():
     target = sample_target(TINY, seed=0)
-    chain = backward_chain(TINY, target, 2, seed=0)
+    chain = backward_chain(TINY, target, 2, seed=0, rb=RB)
     with pytest.raises(NoiseSearchError):
         sample_irrelevant_noise(TINY, chain, seed=0)
 
 
 def test_disconnected_noise_structure(closed_world):
     params = BackboneParams(generations=2, max_children=3, seed=77)
-    noise, other = sample_disconnected_noise(params, seed=5, id_offset=10_000)
+    noise, other = sample_disconnected_noise(params, seed=5, id_offset=10_000, rb=RB)
     assert 1 <= len(noise.facts) <= 3
-    assert close_graph(other) == other
+    assert close_graph(other, RB) == other
     assert all(i >= 10_000 for i in other.entities)
     assert not set(other.entities) & set(closed_world.entities)
     for fact in noise.facts:
@@ -249,8 +251,8 @@ def test_disconnected_noise_structure(closed_world):
 
 def test_disconnected_noise_ignores_params_seed():
     # the world is seeded from the seed argument; params gives its shape only
-    one = sample_disconnected_noise(BackboneParams(2, 3, 0.5, seed=1), seed=5, id_offset=50)
-    two = sample_disconnected_noise(BackboneParams(2, 3, 0.5, seed=99), seed=5, id_offset=50)
+    one = sample_disconnected_noise(BackboneParams(2, 3, seed=1), seed=5, id_offset=50, rb=RB)
+    two = sample_disconnected_noise(BackboneParams(2, 3, seed=99), seed=5, id_offset=50, rb=RB)
     assert one == two
 
 
@@ -259,7 +261,7 @@ def test_noise_samplers_deterministic(seed):
     g = world(seed % 40)
     target = sample_target(g, seed)
     try:
-        chain = backward_chain(g, target, 3, seed)
+        chain = backward_chain(g, target, 3, seed, RB)
     except UnexpandableError:
         return
     for sampler in (sample_supporting_noise, sample_irrelevant_noise):
@@ -269,5 +271,5 @@ def test_noise_samplers_deterministic(seed):
             continue
         assert sampler(g, chain, seed) == first
     params = BackboneParams(generations=2, max_children=3, seed=seed)
-    one = sample_disconnected_noise(params, seed)
-    assert sample_disconnected_noise(params, seed) == one
+    one = sample_disconnected_noise(params, seed, 0, RB)
+    assert sample_disconnected_noise(params, seed, 0, RB) == one

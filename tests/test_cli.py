@@ -1,12 +1,15 @@
 import hashlib
 import json
 import time
+from collections import Counter
 
 import pytest
 
+from _oracles import resolve_record, story_facts
 from kinship_forge.cli import main, parse_fact_file
-from kinship_forge.dataset import read_rows
+from kinship_forge.dataset import read_rows, rules_fingerprint
 from kinship_forge.errors import ConfigError
+from kinship_forge.ontology import RuleBase, default_rulebase
 
 INTRO_FACTS = "mother(Bob, Alice)\nfather(Alice, Jim)\n"
 AMBIGUOUS_FACTS = "husband(Ann, Bob)\nson(Bob, Carl)\ngrandmother(Carl, Dee)\n"
@@ -317,6 +320,56 @@ class TestGenerate:
             for name in expected
         }
         assert digests == expected
+
+    @pytest.mark.parametrize(
+        "fmt, flags",
+        [
+            ("csv", PINNED["csv"][0]),
+            ("jsonl", PINNED["jsonl"][0]),
+            ("csv", ("--noise-test", "irrelevant")),
+        ],
+        ids=["pinned-csv", "pinned-jsonl", "irrelevant"],
+    )
+    def test_story_tells_the_row_facts(self, tmp_path, capsys, fmt, flags):
+        # the story, read back through the bank's sentence patterns, states
+        # exactly facts + noise_facts, each second entity with its gender
+        rc, _, _ = run(
+            capsys, "generate", "--preset", "gen-k23", "--seed", "7", "--test-ks", "2-4",
+            "--n-train", "100", "--n-test", "20", "--format", fmt, *flags,
+            "--out", str(tmp_path),
+        )
+        assert rc == 0
+        rows = read_rows(tmp_path / f"train.{fmt}") + read_rows(tmp_path / f"test.{fmt}")
+        assert len(rows) == 260
+        for row in rows:
+            expected = Counter(
+                (fact, row.genders[fact[:-1].split(",")[1]])
+                for fact in row.facts + row.noise_facts
+            )
+            assert Counter(story_facts(row.story)) == expected, row.id
+
+    def test_custom_rule_base_end_to_end(self, tmp_path, capsys):
+        # the default rules without sibling <- child inv-un
+        kept = [r for r in default_rulebase().rules if str(r) != "sibling <- child inv-un"]
+        assert len(kept) == 15
+        rules = tmp_path / "rules.txt"
+        rules.write_text("".join(f"{rule}\n" for rule in kept))
+        rb = RuleBase.from_file(rules)
+        out_dir = tmp_path / "corpus"
+        rc, _, _ = run(
+            capsys, "generate", "--rules", str(rules), "--train-ks", "2,3",
+            "--test-ks", "2-5", "--n-train", "40", "--n-test", "20", "--seed", "3",
+            "--out", str(out_dir),
+        )
+        assert rc == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["rules_fingerprint"] == rules_fingerprint(rb)
+        # ceil(0.1 * 284) k=3 shapes; the default rules give ceil(0.1 * 372)
+        assert len(manifest["held_out_shapes"]["3"]) == 29
+        rows = read_rows(out_dir / "train.csv") + read_rows(out_dir / "test.csv")
+        assert len(rows) == 160
+        for row in rows:
+            assert resolve_record(row, rb).label == row.label, row.id
 
 
 class TestConfigResolution:

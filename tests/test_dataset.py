@@ -32,7 +32,7 @@ from kinship_forge.narrative import Naming, Split, Template, TemplateBank
 from kinship_forge.ontology import (
     Gender,
     Predicate,
-    SURFACE_NAMES,
+    surface,
 )
 from _oracles import naive_close, resolve_record
 
@@ -138,7 +138,7 @@ class TestGenerateDataset:
         for record in train + test:
             result = resolve_record(record, rb)
             assert result.label == record.label
-            assert record.label in SURFACE_NAMES
+            assert record.label in {surface(p, g) for p in Predicate for g in Gender}
             assert len(record.facts) == record.k
             assert record.proof_trace
             assert len(record.shape_id.split("|")) == record.k
@@ -383,6 +383,29 @@ class TestRoundTrip:
         write_rows(rows[:1], path, "jsonl")
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(SchemaError, match=r"rows\.jsonl:2: "):
+            read_rows(path)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("k", "two"),
+            ("k", True),
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("shape_held_out", "yes"),
+            ("shape_held_out", 1),
+        ],
+    )
+    def test_mistyped_jsonl_cell_names_its_line(self, rows, tmp_path, column, value):
+        # the same checks the CSV decoder makes: an int k and seed, a bool flag
+        path = tmp_path / "rows.jsonl"
+        write_rows(rows[:2], path, "jsonl")
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[column] = value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=rf"rows\.jsonl:2: {column} must be"):
             read_rows(path)
 
     @pytest.mark.parametrize("format", ["csv", "jsonl"])

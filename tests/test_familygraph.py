@@ -15,14 +15,15 @@ from kinship_forge.familygraph import (
     load_name_pool,
     simple_paths,
 )
-from kinship_forge.ontology import Gender, Predicate
+from kinship_forge.ontology import Gender, Predicate, default_rulebase
 
 M, F = Gender.MALE, Gender.FEMALE
+RB = default_rulebase()
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
 def closed(seed: int, **kw) -> KinshipGraph:
-    return close_graph(generate_backbone(BackboneParams(seed=seed, **kw)))
+    return close_graph(generate_backbone(BackboneParams(seed=seed, **kw)), RB)
 
 
 def structure(g: KinshipGraph) -> tuple:
@@ -34,13 +35,11 @@ def test_params_validation():
         BackboneParams(generations=1)
     with pytest.raises(ConfigError):
         BackboneParams(max_children=0)
-    with pytest.raises(ConfigError):
-        BackboneParams(p_marry=1.5)
 
 
 def test_minimal_family_is_three_entities_six_edges():
     # one couple, one child: 2 SO + 2 child + 2 inv-child, no sibling pairs
-    g = generate_backbone(BackboneParams(generations=2, max_children=1, p_marry=1.0, seed=0))
+    g = generate_backbone(BackboneParams(generations=2, max_children=1, seed=0))
     assert len(g.entities) == 3
     assert g.edge_count == 6
     by_pred = {}
@@ -55,7 +54,7 @@ GOLDEN_SIZES = {0: (7, 24, 41), 1: (3, 6, 6), 2: (5, 12, 20)}
 @pytest.mark.parametrize("seed", sorted(GOLDEN_SIZES))
 def test_default_backbone_golden_sizes(seed):
     g = generate_backbone(BackboneParams(seed=seed))
-    c = close_graph(g)
+    c = close_graph(g, RB)
     assert (len(g.entities), g.edge_count, c.edge_count) == GOLDEN_SIZES[seed]
 
 
@@ -128,7 +127,7 @@ def test_closure_soundness_and_completeness(rb, seed):
 @given(seeds)
 def test_closed_so_symmetric_sibling_symmetric_on_backbone(seed):
     g = generate_backbone(BackboneParams(seed=seed))
-    c = close_graph(g)
+    c = close_graph(g, RB)
     for fact in c.facts():
         if fact.pred is Predicate.SO:
             assert c.predicate(fact.dst, fact.src) is Predicate.SO
@@ -233,8 +232,9 @@ def test_assign_names_distinct_and_gendered(closed_world, world_names):
 
 def test_assign_names_seed_sensitivity():
     g = generate_backbone(BackboneParams(seed=0))
+    pool = default_name_pool()
     draws = {
-        tuple(sorted(assign_names(g, seed=s).items()))
+        tuple(sorted(assign_names(g, pool, seed=s).items()))
         for s in range(100)
     }
     assert len(draws) > 95

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kinship_forge.chains import backward_chain, sample_irrelevant_noise, sample_target
+from kinship_forge.chains import FactPath, backward_chain, sample_irrelevant_noise, sample_target
 from kinship_forge.errors import (
     BankFormatError,
     ConfigError,
@@ -27,9 +27,11 @@ from kinship_forge.narrative import (
     split_bank,
     synth_bank,
 )
-from kinship_forge.ontology import Gender, Predicate, surface
+from kinship_forge.familygraph import Fact
+from kinship_forge.ontology import Gender, Predicate, default_rulebase, surface
 
 M, F = Gender.MALE, Gender.FEMALE
+RB = default_rulebase()
 
 
 def bank_record(id="t1", key=(("child", "male"),), text="[ENT_1] is with [ENT_0].", **kw):
@@ -80,7 +82,7 @@ def test_load_bank_round_trip(tmp_path):
         bank_record(id="b", key=pair, text="[ENT_0] [ENT_1] [ENT_2].", split="test"),
         bank_record(id="c", text="[ENT_0] and [ENT_1]."),
     )
-    assert set(load_bank(path).all_templates()) == {
+    assert set(load_bank(path, RB).all_templates()) == {
         Template("a", ((Predicate.CHILD, M),), "[ENT_1] is with [ENT_0].", Split.TRAIN),
         Template(
             "b", ((Predicate.CHILD, F), (Predicate.SIBLING, M)), "[ENT_0] [ENT_1] [ENT_2].",
@@ -93,42 +95,42 @@ def test_load_bank_round_trip(tmp_path):
 def test_load_bank_bad_json_names_line(tmp_path):
     path = write_bank(tmp_path, bank_record(), "{not json")
     with pytest.raises(BankFormatError, match=":2"):
-        load_bank(path)
+        load_bank(path, RB)
 
 
 def test_load_bank_missing_field(tmp_path):
     path = write_bank(tmp_path, '{"id": "x", "text": "[ENT_0] [ENT_1]"}')
     with pytest.raises(BankFormatError, match=":1"):
-        load_bank(path)
+        load_bank(path, RB)
 
 
 def test_load_bank_bad_predicate(tmp_path):
     path = write_bank(tmp_path, bank_record(key=(("cousin", "male"),)))
     with pytest.raises(BankFormatError):
-        load_bank(path)
+        load_bank(path, RB)
 
 
 def test_load_bank_missing_slot(tmp_path):
     path = write_bank(tmp_path, bank_record(text="[ENT_0] has someone."))
     with pytest.raises(BankFormatError, match="t1"):
-        load_bank(path)
+        load_bank(path, RB)
 
 
 def test_load_bank_unknown_slot_token(tmp_path):
     path = write_bank(tmp_path, bank_record(text="[ENT_0] [ENT_1] [NAME]"))
     with pytest.raises(BankFormatError, match="NAME"):
-        load_bank(path)
+        load_bank(path, RB)
 
 
 def test_load_bank_out_of_range_slot(tmp_path):
     path = write_bank(tmp_path, bank_record(text="[ENT_0] [ENT_1] [ENT_2]"))
     with pytest.raises(BankFormatError):
-        load_bank(path)
+        load_bank(path, RB)
 
 
 def test_load_bank_honors_split_tags(tmp_path):
     path = write_bank(tmp_path, bank_record(split="test"))
-    bank = load_bank(path)
+    bank = load_bank(path, RB)
     assert bank.all_templates()[0].split is Split.TEST
 
 
@@ -139,7 +141,7 @@ def test_leak_warning_on_head_surface(tmp_path):
         bank_record(key=(("sibling", "male"),), text="[ENT_1] is the brother of [ENT_0]."),
     )
     with pytest.warns(AnswerLeakWarning, match="brother"):
-        load_bank(path)
+        load_bank(path, RB)
 
 
 def test_leak_warning_respects_word_boundaries(tmp_path):
@@ -153,7 +155,7 @@ def test_leak_warning_respects_word_boundaries(tmp_path):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", AnswerLeakWarning)
-        load_bank(path)
+        load_bank(path, RB)
 
 
 def test_eligible_filters_by_split(tagged_bank):
@@ -224,7 +226,7 @@ ALPHABET = [
     st.integers(min_value=0, max_value=2**32),
 )
 def test_partition_covers_atoms_exactly(atoms, seed):
-    bank = synth_bank(variants=1)
+    bank = synth_bank(RB, variants=1)
     segments = _partition_with(random.Random(seed), tuple(atoms), bank)
     assert all(1 <= len(seg) <= 3 for seg in segments)
     flattened = tuple(a for seg in segments for a in seg)
@@ -268,14 +270,14 @@ def test_partition_coverage_error():
 @pytest.fixture(scope="module")
 def story_setup(closed_world):
     target = sample_target(closed_world, seed=3)
-    chain = backward_chain(closed_world, target, 4, seed=5)
+    chain = backward_chain(closed_world, target, 4, seed=5, rb=RB)
     noise = sample_irrelevant_noise(closed_world, chain, seed=7)
     return closed_world, chain, noise
 
 
 def test_render_fills_every_slot(story_setup, tagged_bank, world_names):
     g, chain, noise = story_setup
-    r = render_story(chain, [noise], tagged_bank, world_names, Split.TRAIN, seed=1)
+    r = render_story(chain, noise, tagged_bank, world_names, Split.TRAIN, seed=1)
     assert "[ENT_" not in r.text
     assert r.template_ids
 
@@ -289,7 +291,7 @@ def expected_sentences(g, facts, token_of):
 
 def test_render_keeps_main_order_and_noise_contiguous(story_setup, plain_bank, world_names):
     g, chain, noise = story_setup
-    r = render_story(chain, [noise], plain_bank, world_names, Split.TRAIN, seed=11)
+    r = render_story(chain, noise, plain_bank, world_names, Split.TRAIN, seed=11)
     sentences = re.split(r"(?<=[.!?])\s+", r.text)
     token_of = r.entity_mentions
     main = expected_sentences(g, chain.facts, token_of)
@@ -302,7 +304,7 @@ def test_render_keeps_main_order_and_noise_contiguous(story_setup, plain_bank, w
 
 def test_render_uses_entity_names(story_setup, tagged_bank, world_names):
     g, chain, noise = story_setup
-    r = render_story(chain, [], tagged_bank, world_names, Split.TRAIN, seed=2)
+    r = render_story(chain, None, tagged_bank, world_names, Split.TRAIN, seed=2)
     for entity_id, token in r.entity_mentions.items():
         assert token == world_names[entity_id]
         assert token in r.text
@@ -311,7 +313,7 @@ def test_render_uses_entity_names(story_setup, tagged_bank, world_names):
 def test_render_cloze_tokens(story_setup, tagged_bank):
     g, chain, noise = story_setup
     r = render_story(
-        chain, [noise], tagged_bank, None, Split.TRAIN, seed=2
+        chain, noise, tagged_bank, None, Split.TRAIN, seed=2
     )
     tokens = list(r.entity_mentions.values())
     assert len(set(tokens)) == len(tokens)
@@ -320,12 +322,12 @@ def test_render_cloze_tokens(story_setup, tagged_bank):
         assert 0 <= int(token.split("-")[1]) < 100
 
 
-def test_render_cloze_pool_exhaustion(story_setup, tagged_bank):
-    g, chain, noise = story_setup
-    with pytest.raises(PoolExhaustedError):
-        render_story(
-            chain, [], tagged_bank, None, Split.TRAIN, seed=2, cloze_pool_size=2
-        )
+def test_render_cloze_pool_exhaustion(tagged_bank):
+    # 100 facts tell 101 entities, one more than there are cloze tokens
+    facts = tuple(Fact(i, i + 1, Predicate.SIBLING) for i in range(100))
+    chain = FactPath(facts, ((Predicate.SIBLING, M),) * 100)
+    with pytest.raises(PoolExhaustedError, match="needs 101 cloze tokens, pool has 100"):
+        render_story(chain, None, tagged_bank, None, Split.TRAIN, seed=2)
 
 
 def test_render_cloze_resamples_per_story(story_setup, tagged_bank):
@@ -333,7 +335,7 @@ def test_render_cloze_resamples_per_story(story_setup, tagged_bank):
     draws = {
         tuple(
             render_story(
-                chain, [], tagged_bank, None, Split.TRAIN, seed=s
+                chain, None, tagged_bank, None, Split.TRAIN, seed=s
             ).entity_mentions.values()
         )
         for s in range(20)
@@ -343,8 +345,8 @@ def test_render_cloze_resamples_per_story(story_setup, tagged_bank):
 
 def test_render_deterministic(story_setup, tagged_bank, world_names):
     g, chain, noise = story_setup
-    one = render_story(chain, [noise], tagged_bank, world_names, Split.TRAIN, seed=4)
-    two = render_story(chain, [noise], tagged_bank, world_names, Split.TRAIN, seed=4)
+    one = render_story(chain, noise, tagged_bank, world_names, Split.TRAIN, seed=4)
+    two = render_story(chain, noise, tagged_bank, world_names, Split.TRAIN, seed=4)
     assert one == two
 
 
@@ -352,13 +354,13 @@ def test_render_requires_names(story_setup, tagged_bank):
     g, chain, noise = story_setup
     nameless = {i: "" for i in g.entities}
     with pytest.raises(ConfigError):
-        render_story(chain, [], tagged_bank, nameless, Split.TRAIN, seed=1)
+        render_story(chain, None, tagged_bank, nameless, Split.TRAIN, seed=1)
     with pytest.raises(ConfigError):
-        render_story(chain, [], tagged_bank, {}, Split.TRAIN, seed=1)
+        render_story(chain, None, tagged_bank, {}, Split.TRAIN, seed=1)
 
 
 def test_render_rejects_name_collisions(story_setup, tagged_bank):
     g, chain, noise = story_setup
     clashing = {i: "Same" for i in g.entities}
     with pytest.raises(ConfigError):
-        render_story(chain, [], tagged_bank, clashing, Split.TRAIN, seed=1)
+        render_story(chain, None, tagged_bank, clashing, Split.TRAIN, seed=1)

@@ -20,7 +20,7 @@ from kinship_forge.familygraph import (
     generate_backbone,
 )
 from kinship_forge.ontology import Gender, Predicate, default_rulebase
-from kinship_forge.solver import fold_predicates, solve
+from kinship_forge.solver import MAX_PATH_LEN, fold_predicates, solve
 
 M, F = Gender.MALE, Gender.FEMALE
 P = Predicate
@@ -127,10 +127,10 @@ def test_solve_result_does_not_depend_on_hash_seed():
     # members whose iteration order follows PYTHONHASHSEED
     script = (
         "from kinship_forge.familygraph import Fact\n"
-        "from kinship_forge.ontology import Gender, Predicate as P\n"
+        "from kinship_forge.ontology import Gender, Predicate as P, default_rulebase\n"
         "from kinship_forge.solver import solve\n"
         "facts = [Fact(0, 1, P.GRAND), Fact(0, 1, P.SO), Fact(1, 2, P.CHILD)]\n"
-        "print(repr(solve(facts, (0, 2), {2: Gender.FEMALE})))\n"
+        "print(repr(solve(facts, (0, 2), {2: Gender.FEMALE}, default_rulebase())))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
@@ -177,9 +177,13 @@ def test_solve_ambiguous_reports_predicates(rb):
 
 
 def test_solve_respects_max_path_len(rb):
-    facts = chain_facts(P.CHILD, P.CHILD, P.CHILD)
+    # a line of brothers: the far end is reachable only along the line
+    assert MAX_PATH_LEN == 12
+    facts = chain_facts(*[P.SIBLING] * 12)
+    assert solve(facts, (0, 12), {i: M for i in range(13)}, rb).label == "brother"
+    facts = chain_facts(*[P.SIBLING] * 13)
     with pytest.raises(NoPathError):
-        solve(facts, (0, 3), {i: M for i in range(4)}, rb, max_path_len=2)
+        solve(facts, (0, 13), {i: M for i in range(14)}, rb)
 
 
 def test_proof_is_the_bracketed_witness(rb):
