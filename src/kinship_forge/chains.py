@@ -12,28 +12,10 @@ import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 from .errors import ClosureConflictError, ConfigError, NoiseSearchError, UnexpandableError
-from .familygraph import (
-    BackboneParams,
-    Fact,
-    KinshipGraph,
-    close_graph,
-    generate_backbone,
-    simple_paths,
-)
-from .ontology import Atom, Predicate, Rule, RuleBase
-
-
-@dataclass(frozen=True)
-class TargetFact:
-    head: int
-    tail: int
-    pred: Predicate
-
-    def as_fact(self) -> Fact:
-        return Fact(self.head, self.tail, self.pred)
+from .familygraph import Fact, KinshipGraph, generate_backbone, simple_paths
+from .ontology import Atom, Rule, RuleBase
 
 
 @dataclass(frozen=True)
@@ -66,7 +48,7 @@ class NoiseKind(Enum):
     DISCONNECTED = "disconnected"
 
 
-def sample_target(g: KinshipGraph, seed: int = 0) -> TargetFact:
+def sample_target(g: KinshipGraph, seed: int) -> Fact:
     """Uniform draw over every edge of the graph.
 
     Draws an index into the sorted edges, as choice(g.facts()) would,
@@ -82,7 +64,7 @@ def sample_target(g: KinshipGraph, seed: int = 0) -> TargetFact:
             break
         index -= len(out)
     dst = sorted(out)[index]
-    return TargetFact(src, dst, out[dst])
+    return Fact(src, dst, out[dst])
 
 
 # fresh expansions backward_chain tries before it gives up
@@ -91,7 +73,7 @@ MAX_RESTARTS = 50
 
 def backward_chain(
     g: KinshipGraph,
-    target: TargetFact,
+    target: Fact,
     k: int,
     seed: int,
     rb: RuleBase,
@@ -107,15 +89,15 @@ def backward_chain(
     """
     if k < 1:
         raise ConfigError(f"chain length must be >= 1, got {k}")
-    if g.predicate(target.head, target.tail) is not target.pred:
+    if g.predicate(target.src, target.dst) is not target.pred:
         raise ConfigError(f"target {target} is not an edge of the graph")
-    first_options = _groundings(g, rb, target.as_fact(), {target.head, target.tail})
+    first_options = _groundings(g, rb, target, {target.src, target.dst})
     if k > 1 and not first_options:
         raise UnexpandableError(f"no length-{k} expansion of {target}: it has no grounding")
     rng = random.Random(seed)
     for _ in range(MAX_RESTARTS):
-        facts = [target.as_fact()]
-        on_path = {target.head, target.tail}
+        facts = [target]
+        on_path = {target.src, target.dst}
         while len(facts) < k:
             index = rng.randrange(len(facts))
             fact = facts[index]
@@ -179,9 +161,7 @@ def _path_along(g: KinshipGraph, vertices: tuple[int, ...]) -> FactPath:
     return FactPath.of(g, (Fact(a, b, g.predicate(a, b)) for a, b in pairs))
 
 
-def sample_supporting_noise(
-    g: KinshipGraph, chain: FactPath, seed: int = 0
-) -> FactPath:
+def sample_supporting_noise(g: KinshipGraph, chain: FactPath, seed: int) -> FactPath:
     """A 2-3 edge alternative route between two chain vertices.
 
     Endpoints are chain vertices vi, vj with i < j; interior vertices
@@ -210,9 +190,7 @@ def sample_supporting_noise(
     raise NoiseSearchError("no supporting path between any two chain vertices")
 
 
-def sample_irrelevant_noise(
-    g: KinshipGraph, chain: FactPath, seed: int = 0
-) -> FactPath:
+def sample_irrelevant_noise(g: KinshipGraph, chain: FactPath, seed: int) -> FactPath:
     """A 1-3 edge dead-end hanging off one query entity.
 
     The anchor is chosen uniformly between the chain endpoints; every
@@ -234,31 +212,24 @@ def sample_irrelevant_noise(
     raise NoiseSearchError("no off-chain path from either query entity")
 
 
+# the disconnected-noise world's first id, above any story-world id
+NOISE_ID_BASE = 10_000
+
+
 def sample_disconnected_noise(
-    params: BackboneParams,
-    seed: int,
-    id_offset: int,
-    rb: RuleBase,
-    close: Callable[[KinshipGraph], KinshipGraph] | None = None,
+    seed: int, close: Callable[[KinshipGraph], KinshipGraph]
 ) -> tuple[FactPath, KinshipGraph]:
     """A 1-3 edge path in a fresh, unrelated closed family graph.
 
-    The world is built with ids from id_offset, to stay disjoint from the
-    caller's graph, and closed by close_graph under rb, or by close in its
-    place when given. The returned graph is unnamed; callers must name it
-    disjointly from the story's other entities. params gives the world's
-    shape only: world attempt i is seeded with seed + i, not params.seed.
+    World attempt i is a two-generation backbone seeded with seed + i,
+    with ids from NOISE_ID_BASE to stay disjoint from the caller's
+    graph, and closed by close. The returned graph is unnamed; callers
+    must name it disjointly from the story's other entities.
     """
-    if close is None:
-        close = partial(close_graph, rb=rb)
     rng = random.Random(seed)
     for attempt in range(20):
-        world = generate_backbone(
-            BackboneParams(params.generations, params.max_children, seed + attempt),
-            id_offset,
-        )
         try:
-            closed = close(world)
+            closed = close(generate_backbone(seed + attempt, 2, NOISE_ID_BASE))
         except ClosureConflictError:
             continue
         starts = sorted(closed.entities)

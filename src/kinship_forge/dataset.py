@@ -44,7 +44,6 @@ from .errors import (
     UnexpandableError,
 )
 from .familygraph import (
-    BackboneParams,
     KinshipGraph,
     assign_names,
     close_graph,
@@ -63,12 +62,6 @@ from .ontology import (
     Gender, RuleBase, enumerate_shapes, shape_id, shape_keys, surface
 )
 from .solver import MAX_PATH_LEN, solve
-
-_NOISE_WORLD_PARAMS = BackboneParams(generations=2, max_children=3)
-_NOISE_ID_OFFSET = 10_000
-# closed worlds a RowGenerator keeps: the default backbone has 84
-# structures and the noise world 3, so the bound only guards other params
-_MAX_CLOSED_WORLDS = 1024
 
 
 def derive_seed(*parts: object) -> int:
@@ -241,7 +234,8 @@ class RowGenerator:
 
     `held` maps each train k to its held-out shape ids; `pool` is the
     name pool, None under cloze naming. `closed_worlds` maps a backbone
-    structure to its closure, filled as structures first occur.
+    structure to its closure, filled as structures first occur: at most
+    84 story-world and 3 noise-world structures.
     """
 
     cfg: SplitConfig
@@ -282,17 +276,14 @@ class RowGenerator:
         if closed is not None:
             return closed.regendered(backbone.entities)
         closed = close_graph(backbone, self.rb)
-        if len(self.closed_worlds) < _MAX_CLOSED_WORLDS:
-            self.closed_worlds[key] = closed
+        self.closed_worlds[key] = closed
         return closed
 
     def _attempt(
         self, split: str, k: int, index: int, row_seed: int, attempt: int
     ) -> PuzzleRecord | None:
         rb = self.rb
-        g = self._close(
-            generate_backbone(BackboneParams(seed=derive_seed(row_seed, attempt, "backbone")))
-        )
+        g = self._close(generate_backbone(derive_seed(row_seed, attempt, "backbone")))
         target = sample_target(g, derive_seed(row_seed, attempt, "target"))
         chain = backward_chain(g, target, k, derive_seed(row_seed, attempt, "chain"), rb)
         sid = shape_id(chain.atoms)
@@ -309,9 +300,7 @@ class RowGenerator:
             elif noise_kind is NoiseKind.IRRELEVANT:
                 noise = sample_irrelevant_noise(g, chain, noise_seed)
             else:
-                noise, noise_world = sample_disconnected_noise(
-                    _NOISE_WORLD_PARAMS, noise_seed, _NOISE_ID_OFFSET, rb, close=self._close
-                )
+                noise, noise_world = sample_disconnected_noise(noise_seed, self._close)
         genders = g.entities
         names = None
         if self.pool is not None:
@@ -334,7 +323,7 @@ class RowGenerator:
         token_of = rendered.entity_mentions
         genders_by_id = {i: genders[i] for i in token_of}
         name_of = token_of.__getitem__
-        query = (target.head, target.tail)
+        query = (target.src, target.dst)
         base = solve(chain.facts, query, genders_by_id, rb, name_of=name_of)
         if base.predicate is not target.pred:
             return None
@@ -345,14 +334,14 @@ class RowGenerator:
             )
             if full.predicate is not target.pred:
                 return None
-        label = surface(target.pred, genders_by_id[target.tail])
+        label = surface(target.pred, genders_by_id[target.dst])
         return PuzzleRecord(
             id=f"{split}-k{k}-{index:05d}",
             split=split,
             k=k,
             label=label,
-            query_head=token_of[target.head],
-            query_tail=token_of[target.tail],
+            query_head=token_of[target.src],
+            query_tail=token_of[target.dst],
             story=rendered.text,
             genders={token_of[i]: genders_by_id[i].value for i in token_of},
             facts=tuple(

@@ -35,19 +35,6 @@ class Fact:
         return f"{self.pred.value}({self.src},{self.dst})"
 
 
-@dataclass(frozen=True)
-class BackboneParams:
-    generations: int = 3
-    max_children: int = 3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.generations < 2:
-            raise ConfigError("generations must be >= 2")
-        if self.max_children < 1:
-            raise ConfigError("max_children must be >= 1")
-
-
 class KinshipGraph:
     """Mutable relation graph over integer entity ids.
 
@@ -182,25 +169,29 @@ def simple_paths(
                 stack.append(extended)
 
 
-def generate_backbone(params: BackboneParams, id_base: int = 0) -> KinshipGraph:
-    """Sample a family tree rooted at one founding couple.
+MAX_CHILDREN = 3
 
-    Couples draw Uniform{1..max_children} children with fair coin genders.
+
+def generate_backbone(seed: int, generations: int = 3, id_base: int = 0) -> KinshipGraph:
+    """Sample a family tree of `generations` generations rooted at one
+    founding couple.
+
+    Couples draw Uniform{1..MAX_CHILDREN} children with fair coin genders.
     Every non-final-generation person marries a fresh opposite-gender
     entity with probability 1/2; only couples bear children. Entity
     ids count up from id_base.
     """
-    rng = random.Random(params.seed)
+    rng = random.Random(seed)
     g = KinshipGraph(id_base)
     husband = g.add_entity(Gender.MALE)
     wife = g.add_entity(Gender.FEMALE)
     _marry(g, husband, wife)
     couples = [(husband, wife)]
-    for gen in range(1, params.generations):
+    for gen in range(1, generations):
         next_couples: list[tuple[int, int]] = []
         for a, b in couples:
             kids = []
-            for _ in range(rng.randint(1, params.max_children)):
+            for _ in range(rng.randint(1, MAX_CHILDREN)):
                 gender = Gender.MALE if rng.random() < 0.5 else Gender.FEMALE
                 kid = g.add_entity(gender)
                 kids.append(kid)
@@ -211,7 +202,7 @@ def generate_backbone(params: BackboneParams, id_base: int = 0) -> KinshipGraph:
                 for y in kids:
                     if x != y:
                         g.add_edge(x, y, Predicate.SIBLING)
-            if gen + 1 < params.generations:
+            if gen + 1 < generations:
                 for kid in kids:
                     if rng.random() < 0.5:
                         spouse = g.add_entity(g.gender(kid).opposite)
@@ -291,7 +282,7 @@ def default_name_pool() -> tuple[tuple[str, Gender], ...]:
 def assign_names(
     g: KinshipGraph,
     pool: tuple[tuple[str, Gender], ...],
-    seed: int = 0,
+    seed: int,
 ) -> dict[int, str]:
     """Map each entity id of g to a fresh gender-matched, graph-unique name."""
     rng = random.Random(seed)

@@ -205,7 +205,7 @@ def synth_bank(rb: RuleBase, variants: int = 1) -> TemplateBank:
     return TemplateBank(templates, provenance="synthetic")
 
 
-def split_bank(bank: TemplateBank, holdout_frac: float = 0.2, seed: int = 0) -> TemplateBank:
+def split_bank(bank: TemplateBank, holdout_frac: float, seed: int) -> TemplateBank:
     """Tag ceil(frac * n) templates per key as test, the rest as train."""
     if not 0.0 <= holdout_frac <= 1.0:
         raise ConfigError("holdout_frac must lie in [0, 1]")
@@ -297,8 +297,8 @@ def render_story(
     noise: FactPath | None,
     bank: TemplateBank,
     names: Mapping[int, str] | None,
-    split: Split = Split.UNSPLIT,
-    seed: int = 0,
+    split: Split,
+    seed: int,
 ) -> StoryRender:
     """Compose the story text for a chain plus an optional noise path.
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from kinship_forge.familygraph import (
-    BackboneParams,
     assign_names,
     close_graph,
     default_name_pool,
@@ -33,7 +32,7 @@ def rb():
 
 @pytest.fixture(scope="session")
 def closed_world(rb):
-    return close_graph(generate_backbone(BackboneParams(seed=11)), rb)
+    return close_graph(generate_backbone(11), rb)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ same line as its message.
 import json
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -35,7 +36,7 @@ from kinship_forge.errors import (
     NoiseSearchError,
     UnexpandableError,
 )
-from kinship_forge.familygraph import BackboneParams, close_graph, generate_backbone
+from kinship_forge.familygraph import close_graph, generate_backbone
 from kinship_forge.narrative import Template, TemplateBank
 from kinship_forge.ontology import (
     Gender,
@@ -117,21 +118,20 @@ def raw_noise_cases(rb):
     Also tallies what each kind does to the oracle answer before row
     certification, for the criterion 4 log note.
     """
-    world_params = BackboneParams(generations=2, max_children=3)
     cases = []
     tallies = {kind: Counter() for kind in NoiseKind}
     seed = 0
     while len(cases) < 1000:
         seed += 1
         try:
-            g = close_graph(generate_backbone(BackboneParams(seed=seed)), rb)
+            g = close_graph(generate_backbone(seed), rb)
             target = sample_target(g, seed=seed)
             chain = backward_chain(g, target, k=3, seed=seed, rb=rb)
         except (ClosureConflictError, UnexpandableError):
             continue
         genders = {v: g.gender(v) for v in chain.vertices}
         try:
-            base = solve(list(chain.facts), (target.head, target.tail), genders, rb)
+            base = solve(list(chain.facts), (target.src, target.dst), genders, rb)
         except AmbiguousAnswerError:
             continue  # no single oracle answer, so no puzzle
         try:
@@ -139,9 +139,7 @@ def raw_noise_cases(rb):
                 NoiseKind.SUPPORTING: (sample_supporting_noise(g, chain, seed=seed), g),
                 NoiseKind.IRRELEVANT: (sample_irrelevant_noise(g, chain, seed=seed), g),
             }
-            disconnected, world = sample_disconnected_noise(
-                world_params, seed=seed, id_offset=10_000, rb=rb
-            )
+            disconnected, world = sample_disconnected_noise(seed, partial(close_graph, rb=rb))
             noises[NoiseKind.DISCONNECTED] = (disconnected, world)
         except NoiseSearchError:
             continue
@@ -152,7 +150,7 @@ def raw_noise_cases(rb):
             try:
                 res = solve(
                     list(chain.facts) + list(noise.facts),
-                    (target.head, target.tail),
+                    (target.src, target.dst),
                     all_genders,
                     rb,
                 )
@@ -182,7 +180,7 @@ def test_criterion_3_noise_structure(raw_noise_cases):
 
         i = noises[NoiseKind.IRRELEVANT]
         shared = set(i.vertices) & on_chain
-        if not (len(shared) == 1 and shared <= {target.head, target.tail}):
+        if not (len(shared) == 1 and shared <= {target.src, target.dst}):
             failures[NoiseKind.IRRELEVANT] += 1
 
         d = noises[NoiseKind.DISCONNECTED]
@@ -320,7 +318,7 @@ def test_criterion_6_determinism(genk23_runs, tmp_path):
 def test_criterion_7_closure_correctness(rb):
     agreed = 0
     for seed in range(100):
-        g = generate_backbone(BackboneParams(seed=seed))
+        g = generate_backbone(seed)
         closed = close_graph(g, rb)
         if closed == naive_close(g, rb) and close_graph(closed, rb) == closed:
             agreed += 1

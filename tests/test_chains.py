@@ -1,11 +1,12 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kinship_forge.chains import (
-    TargetFact,
+    NOISE_ID_BASE,
     backward_chain,
     sample_disconnected_noise,
     sample_irrelevant_noise,
@@ -14,7 +15,7 @@ from kinship_forge.chains import (
 )
 from kinship_forge.errors import ConfigError, NoiseSearchError, UnexpandableError
 from kinship_forge.familygraph import (
-    BackboneParams,
+    Fact,
     KinshipGraph,
     close_graph,
     generate_backbone,
@@ -26,7 +27,7 @@ RB = default_rulebase()
 
 
 def world(seed: int) -> KinshipGraph:
-    return close_graph(generate_backbone(BackboneParams(seed=seed)), RB)
+    return close_graph(generate_backbone(seed), RB)
 
 
 def find_cases(ks, per_k, max_seed=400):
@@ -49,9 +50,7 @@ def find_cases(ks, per_k, max_seed=400):
 
 
 CASES = find_cases(ks=(2, 3, 4, 5), per_k=5)
-TINY = close_graph(
-    generate_backbone(BackboneParams(generations=2, max_children=1, seed=0)), RB
-)
+TINY = close_graph(generate_backbone(1), RB)
 
 
 def test_found_enough_cases():
@@ -60,13 +59,13 @@ def test_found_enough_cases():
 
 def test_sample_target_is_an_edge_and_deterministic(closed_world):
     target = sample_target(closed_world, seed=4)
-    assert closed_world.predicate(target.head, target.tail) is target.pred
+    assert closed_world.predicate(target.src, target.dst) is target.pred
     assert sample_target(closed_world, seed=4) == target
 
 
 def test_sample_target_covers_many_edges(closed_world):
     edges = {
-        (sample_target(closed_world, seed=s).head, sample_target(closed_world, seed=s).tail)
+        (sample_target(closed_world, seed=s).src, sample_target(closed_world, seed=s).dst)
         for s in range(200)
     }
     assert len(edges) > closed_world.edge_count // 2
@@ -77,7 +76,7 @@ def test_sample_target_draws_like_choice_over_facts(seed, world_seed):
     # the index draw keeps the RNG stream of choice over the sorted facts
     g = world(world_seed)
     expected = random.Random(seed).choice(g.facts())
-    assert sample_target(g, seed).as_fact() == expected
+    assert sample_target(g, seed) == expected
 
 
 def test_sample_target_requires_edges():
@@ -98,7 +97,7 @@ def test_backward_chain_structure(rb, seed, k):
     vertices = chain.vertices
     assert len(vertices) == k + 1
     assert len(set(vertices)) == k + 1
-    assert vertices[0] == target.head and vertices[-1] == target.tail
+    assert vertices[0] == target.src and vertices[-1] == target.dst
     for fact, src, dst in zip(chain.facts, vertices, vertices[1:]):
         assert (fact.src, fact.dst) == (src, dst)
         assert g.predicate(src, dst) is fact.pred
@@ -118,17 +117,16 @@ def test_backward_chain_deterministic_and_replayable(rb, seed, k):
 def test_backward_chain_k1_is_the_target(closed_world):
     target = sample_target(closed_world, seed=1)
     chain = backward_chain(closed_world, target, 1, seed=1, rb=RB)
-    assert chain.facts == (target.as_fact(),)
+    assert chain.facts == (target,)
 
 
 def test_backward_chain_validates_inputs(closed_world):
     target = sample_target(closed_world, seed=0)
     with pytest.raises(ConfigError):
         backward_chain(closed_world, target, 0, seed=0, rb=RB)
-    from kinship_forge.chains import TargetFact
     from kinship_forge.ontology import Predicate
 
-    bogus = TargetFact(0, 999, Predicate.CHILD)
+    bogus = Fact(0, 999, Predicate.CHILD)
     with pytest.raises(ConfigError):
         backward_chain(closed_world, bogus, 2, seed=0, rb=RB)
 
@@ -152,15 +150,14 @@ def test_backward_chain_stops_on_a_target_without_grounding(rb, world_seed):
     g = world(world_seed)
     ungrounded = 0
     for fact in g.facts():
-        target = TargetFact(fact.src, fact.dst, fact.pred)
-        assert backward_chain(g, target, 1, seed=0, rb=RB).facts == (fact,)
+        assert backward_chain(g, fact, 1, seed=0, rb=RB).facts == (fact,)
         if has_grounding(g, rb, fact):
-            assert backward_chain(g, target, 2, seed=0, rb=RB).k == 2
+            assert backward_chain(g, fact, 2, seed=0, rb=RB).k == 2
             continue
         ungrounded += 1
         for k in range(2, 13):
             with pytest.raises(UnexpandableError, match="no grounding"):
-                backward_chain(g, target, k, seed=world_seed, rb=RB)
+                backward_chain(g, fact, k, seed=world_seed, rb=RB)
     assert ungrounded
 
 
@@ -239,21 +236,13 @@ def test_irrelevant_noise_exhaustion_on_tiny_world():
 
 
 def test_disconnected_noise_structure(closed_world):
-    params = BackboneParams(generations=2, max_children=3, seed=77)
-    noise, other = sample_disconnected_noise(params, seed=5, id_offset=10_000, rb=RB)
+    noise, other = sample_disconnected_noise(5, partial(close_graph, rb=RB))
     assert 1 <= len(noise.facts) <= 3
     assert close_graph(other, RB) == other
-    assert all(i >= 10_000 for i in other.entities)
+    assert all(i >= NOISE_ID_BASE for i in other.entities)
     assert not set(other.entities) & set(closed_world.entities)
     for fact in noise.facts:
         assert other.predicate(fact.src, fact.dst) is fact.pred
-
-
-def test_disconnected_noise_ignores_params_seed():
-    # the world is seeded from the seed argument; params gives its shape only
-    one = sample_disconnected_noise(BackboneParams(2, 3, seed=1), seed=5, id_offset=50, rb=RB)
-    two = sample_disconnected_noise(BackboneParams(2, 3, seed=99), seed=5, id_offset=50, rb=RB)
-    assert one == two
 
 
 @given(st.integers(min_value=0, max_value=500))
@@ -270,6 +259,6 @@ def test_noise_samplers_deterministic(seed):
         except NoiseSearchError:
             continue
         assert sampler(g, chain, seed) == first
-    params = BackboneParams(generations=2, max_children=3, seed=seed)
-    one = sample_disconnected_noise(params, seed, 0, RB)
-    assert sample_disconnected_noise(params, seed, 0, RB) == one
+    close = partial(close_graph, rb=RB)
+    one = sample_disconnected_noise(seed, close)
+    assert sample_disconnected_noise(seed, close) == one

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from kinship_forge import dataset
-from kinship_forge.chains import NoiseKind
+from kinship_forge.chains import NOISE_ID_BASE, NoiseKind
 from kinship_forge.dataset import (
     COLUMNS,
     PRESETS,
@@ -23,7 +23,6 @@ from kinship_forge.dataset import (
 )
 from kinship_forge.errors import ConfigError, SchemaError
 from kinship_forge.familygraph import (
-    BackboneParams,
     KinshipGraph,
     close_graph,
     generate_backbone,
@@ -201,17 +200,23 @@ def backbone_of(structure: tuple) -> KinshipGraph:
 
 def test_each_default_structure_is_closed_once(rb, tri_bank):
     # the founding couple has 1-3 children, each single or married with
-    # 1-3 children: 4 + 16 + 64 structures, which bounds the closed worlds
+    # 1-3 children: 4 + 16 + 64 structures; the two-generation noise world
+    # adds 3 more, which bounds the closed worlds at 87
     rows = RowGenerator(SplitConfig(), tri_bank, {}, rb, None)
     by_structure: dict[tuple, list[KinshipGraph]] = {}
     for seed in range(4000):
-        g = generate_backbone(BackboneParams(seed=seed))
+        g = generate_backbone(seed)
         by_structure.setdefault(g.structure(), []).append(g)
     assert len(by_structure) == sum(4**n for n in (1, 2, 3)) == 84
-    for backbones in by_structure.values():
+    noise_structures: dict[tuple, list[KinshipGraph]] = {}
+    for seed in range(100):
+        g = generate_backbone(seed, 2, NOISE_ID_BASE)
+        noise_structures.setdefault(g.structure(), []).append(g)
+    assert len(noise_structures) == 3
+    for backbones in (*by_structure.values(), *noise_structures.values()):
         for g in backbones[:4]:  # a miss, then hits with other genders
             assert rows._close(g) == naive_close(g, rb)
-    assert len(rows.closed_worlds) == 84
+    assert len(rows.closed_worlds) == 87
 
 
 @pytest.mark.parametrize(
@@ -235,8 +240,9 @@ def test_closed_worlds_are_left_as_closed(rb, tri_bank, monkeypatch, train_noise
     )
     generate_dataset(cfg, tri_bank, rb)
     worlds = made[0].closed_worlds
-    noise_worlds = [key for key in worlds if key[0][0] == 10_000]
+    noise_worlds = [key for key in worlds if key[0][0] == NOISE_ID_BASE]
     assert len(worlds) > 20 and bool(noise_worlds) == (test_noise is NoiseKind.DISCONNECTED)
+    assert len(worlds) <= 87 and len(noise_worlds) <= 3
     for structure, closed in worlds.items():
         fresh = close_graph(backbone_of(structure), rb)
         assert closed.structure() == fresh.structure()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from _oracles import all_simple_paths, naive_close
 from kinship_forge.errors import ClosureConflictError, ConfigError, EdgeConflictError, PoolExhaustedError
 from kinship_forge.familygraph import (
-    BackboneParams,
     Fact,
     KinshipGraph,
     assign_names,
@@ -22,24 +21,18 @@ RB = default_rulebase()
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
-def closed(seed: int, **kw) -> KinshipGraph:
-    return close_graph(generate_backbone(BackboneParams(seed=seed, **kw)), RB)
+def closed(seed: int) -> KinshipGraph:
+    return close_graph(generate_backbone(seed), RB)
 
 
 def structure(g: KinshipGraph) -> tuple:
     return g.facts(), tuple(g.gender(i) for i in sorted(g.entities))
 
 
-def test_params_validation():
-    with pytest.raises(ConfigError):
-        BackboneParams(generations=1)
-    with pytest.raises(ConfigError):
-        BackboneParams(max_children=0)
-
-
 def test_minimal_family_is_three_entities_six_edges():
-    # one couple, one child: 2 SO + 2 child + 2 inv-child, no sibling pairs
-    g = generate_backbone(BackboneParams(generations=2, max_children=1, seed=0))
+    # seed 1 draws one couple with one unmarried child:
+    # 2 SO + 2 child + 2 inv-child, no sibling pairs
+    g = generate_backbone(1)
     assert len(g.entities) == 3
     assert g.edge_count == 6
     by_pred = {}
@@ -53,14 +46,14 @@ GOLDEN_SIZES = {0: (7, 24, 41), 1: (3, 6, 6), 2: (5, 12, 20)}
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_SIZES))
 def test_default_backbone_golden_sizes(seed):
-    g = generate_backbone(BackboneParams(seed=seed))
+    g = generate_backbone(seed)
     c = close_graph(g, RB)
     assert (len(g.entities), g.edge_count, c.edge_count) == GOLDEN_SIZES[seed]
 
 
 @given(seeds)
 def test_backbone_structure(seed):
-    g = generate_backbone(BackboneParams(seed=seed))
+    g = generate_backbone(seed)
     kids_of = {}
     for fact in g.facts():
         assert fact.src != fact.dst
@@ -82,31 +75,30 @@ def test_backbone_structure(seed):
 
 @given(seeds)
 def test_backbone_deterministic(seed):
-    params = BackboneParams(seed=seed)
-    assert structure(generate_backbone(params)) == structure(generate_backbone(params))
+    assert structure(generate_backbone(seed)) == structure(generate_backbone(seed))
 
 
 def test_distinct_seeds_vary():
     # small families collide structurally, so the bar is variety, not uniqueness
-    shapes = {structure(generate_backbone(BackboneParams(seed=s))) for s in range(100)}
+    shapes = {structure(generate_backbone(s)) for s in range(100)}
     assert len(shapes) > 50
 
 
 @given(seeds)
 def test_close_graph_matches_naive_oracle(rb, seed):
-    g = generate_backbone(BackboneParams(seed=seed))
+    g = generate_backbone(seed)
     assert close_graph(g, rb) == naive_close(g, rb)
 
 
 @given(seeds)
 def test_close_graph_idempotent(rb, seed):
-    once = close_graph(generate_backbone(BackboneParams(seed=seed)), rb)
+    once = close_graph(generate_backbone(seed), rb)
     assert close_graph(once, rb) == once
 
 
 @given(seeds)
 def test_closure_soundness_and_completeness(rb, seed):
-    g = generate_backbone(BackboneParams(seed=seed))
+    g = generate_backbone(seed)
     c = close_graph(g, rb)
     derived = {(f.src, f.dst) for f in c.facts()} - {(f.src, f.dst) for f in g.facts()}
     for x, y in derived:
@@ -126,7 +118,7 @@ def test_closure_soundness_and_completeness(rb, seed):
 
 @given(seeds)
 def test_closed_so_symmetric_sibling_symmetric_on_backbone(seed):
-    g = generate_backbone(BackboneParams(seed=seed))
+    g = generate_backbone(seed)
     c = close_graph(g, RB)
     for fact in c.facts():
         if fact.pred is Predicate.SO:
@@ -231,7 +223,7 @@ def test_assign_names_distinct_and_gendered(closed_world, world_names):
 
 
 def test_assign_names_seed_sensitivity():
-    g = generate_backbone(BackboneParams(seed=0))
+    g = generate_backbone(0)
     pool = default_name_pool()
     draws = {
         tuple(sorted(assign_names(g, pool, seed=s).items()))
@@ -268,8 +260,7 @@ def test_fact_str():
 
 
 def test_backbone_id_base_shifts_every_id():
-    params = BackboneParams(seed=4)
-    plain, based = generate_backbone(params), generate_backbone(params, id_base=100)
+    plain, based = generate_backbone(4), generate_backbone(4, id_base=100)
     assert based.facts() == tuple(
         Fact(f.src + 100, f.dst + 100, f.pred) for f in plain.facts()
     )

@@ -201,7 +201,7 @@ def test_split_bank_deterministic(tri_bank):
 
 
 def test_split_bank_zero_frac_is_identity(plain_bank):
-    assert split_bank(plain_bank, 0.0).all_templates() == plain_bank.all_templates()
+    assert split_bank(plain_bank, 0.0, seed=0).all_templates() == plain_bank.all_templates()
 
 
 def test_split_bank_insufficient(plain_bank):
@@ -211,7 +211,7 @@ def test_split_bank_insufficient(plain_bank):
 
 def test_split_bank_frac_bounds(plain_bank):
     with pytest.raises(ConfigError):
-        split_bank(plain_bank, 1.2)
+        split_bank(plain_bank, 1.2, seed=0)
 
 
 ALPHABET = [

@@ -13,7 +13,6 @@ from kinship_forge.errors import (
     NoPathError,
 )
 from kinship_forge.familygraph import (
-    BackboneParams,
     Fact,
     KinshipGraph,
     close_graph,
@@ -205,7 +204,7 @@ def test_proof_nests_for_longer_chains(rb):
 
 @pytest.mark.parametrize("seed", [0, 2, 5])
 def test_solve_agrees_with_closure_when_unambiguous(rb, seed):
-    g = close_graph(generate_backbone(BackboneParams(seed=seed)), rb)
+    g = close_graph(generate_backbone(seed), rb)
     genders = {i: g.gender(i) for i in g.entities}
     facts = g.facts()
     checked = 0
