@@ -24,17 +24,7 @@ from .dataset import (
     generate_dataset,
     write_rows,
 )
-from .errors import (
-    AmbiguousAnswerError,
-    ConfigError,
-    GenerationBudgetError,
-    KinshipForgeError,
-    NoiseSearchError,
-    NoPathError,
-    PoolExhaustedError,
-    UnexpandableError,
-    read_utf8,
-)
+from .errors import ConfigError, KinshipForgeError, NoPathError, read_utf8
 from .familygraph import Fact
 from .ontology import (
     Gender,
@@ -44,7 +34,6 @@ from .ontology import (
     parse_gender,
     parse_surface,
     shape_id,
-    shape_keys,
 )
 from .narrative import Naming, load_bank, synth_bank
 from .solver import MAX_PATH_LEN, solve
@@ -57,10 +46,7 @@ SEED_ENV_VAR = "KINSHIP_FORGE_SEED"
 _REFERENCE_SHAPE_COUNTS = {1: 20, 2: 58, 3: 236}
 
 _EXIT_OK = 0
-_EXIT_CONFIG = 1
-_EXIT_AMBIGUOUS = 2
-_EXIT_NO_PATH = 3
-_EXIT_GENERATION = 4
+_EXIT_CONFIG = KinshipForgeError.exit_code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,24 +145,11 @@ def _resolve_config(args: argparse.Namespace) -> SplitConfig:
     overrides: dict = {}
     if args.config is not None:
         overrides.update(load_config_file(args.config))
-    flag_values = {
-        "train_ks": _parse_ks(args.train_ks) if args.train_ks else None,
-        "test_ks": _parse_ks(args.test_ks) if args.test_ks else None,
-        "n_train_per_k": args.n_train,
-        "n_test_per_k": args.n_test,
-        "template_holdout_frac": args.template_holdout,
-        "shape_holdout_frac": args.shape_holdout,
-        "naming": Naming(args.naming) if args.naming else None,
-        "master_seed": args.seed,
-    }
-    for key, value in flag_values.items():
+    # each generate flag's dest is its SplitConfig field
+    for key, coerce in _CONFIG_COERCERS.items():
+        value = getattr(args, key, None)
         if value is not None:
-            overrides[key] = value
-    # "none" parses to None, so these two cannot ride the not-None filter
-    if args.noise_train is not None:
-        overrides["train_noise"] = _parse_noise(args.noise_train)
-    if args.noise_test is not None:
-        overrides["test_noise"] = _parse_noise(args.noise_test)
+            overrides[key] = coerce(value)
     if "master_seed" not in overrides and SEED_ENV_VAR in os.environ:
         try:
             overrides["master_seed"] = int(os.environ[SEED_ENV_VAR])
@@ -300,8 +273,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_shapes(args: argparse.Namespace) -> int:
     rb = _load_rules(args.rules)
-    shapes = enumerate_shapes(args.k, rb)
-    keys = shape_keys(shapes)
+    keys = enumerate_shapes(args.k, rb)
     print(f"k={args.k}: {len(keys)} shapes")
     reference = _REFERENCE_SHAPE_COUNTS.get(args.k)
     if reference is not None:
@@ -329,18 +301,34 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="build train/test corpora plus manifest")
     gen.add_argument("--preset", help=f"one of: {', '.join(sorted(PRESETS))}")
     gen.add_argument("--config", help="key = value file naming SplitConfig fields")
-    gen.add_argument("--seed", type=int, help=f"master seed (fallback: ${SEED_ENV_VAR})")
+    gen.add_argument(
+        "--seed", type=int, dest="master_seed", metavar="SEED",
+        help=f"master seed (fallback: ${SEED_ENV_VAR})",
+    )
     gen.add_argument("--out", default="out", help="output directory")
     gen.add_argument("--bank", help="template bank (JSON lines); default synthetic")
     gen.add_argument("--rules", help="rule file; default built-in rules")
     gen.add_argument("--train-ks", help='chain lengths for train, e.g. "2,3"')
     gen.add_argument("--test-ks", help='chain lengths for test, e.g. "2-10"')
-    gen.add_argument("--n-train", type=int, help="train rows per k")
-    gen.add_argument("--n-test", type=int, help="test rows per k")
-    gen.add_argument("--template-holdout", type=float, help="fraction of templates reserved for test")
-    gen.add_argument("--shape-holdout", type=float, help="fraction of k>2 shapes reserved for test")
-    gen.add_argument("--noise-train", help="none|supporting|irrelevant|disconnected")
-    gen.add_argument("--noise-test", help="none|supporting|irrelevant|disconnected")
+    gen.add_argument(
+        "--n-train", type=int, dest="n_train_per_k", metavar="N_TRAIN", help="train rows per k"
+    )
+    gen.add_argument(
+        "--n-test", type=int, dest="n_test_per_k", metavar="N_TEST", help="test rows per k"
+    )
+    gen.add_argument(
+        "--template-holdout", type=float, dest="template_holdout_frac",
+        metavar="TEMPLATE_HOLDOUT", help="fraction of templates reserved for test",
+    )
+    gen.add_argument(
+        "--shape-holdout", type=float, dest="shape_holdout_frac",
+        metavar="SHAPE_HOLDOUT", help="fraction of k>2 shapes reserved for test",
+    )
+    for split in ("train", "test"):
+        gen.add_argument(
+            f"--noise-{split}", dest=f"{split}_noise", metavar=f"NOISE_{split.upper()}",
+            help="none|supporting|irrelevant|disconnected",
+        )
     gen.add_argument("--naming", choices=("names", "cloze"), help="entity naming mode")
     gen.add_argument("--format", default="csv", choices=("csv", "jsonl"), help="row file format")
     gen.add_argument("--jobs", type=int, default=1, help="parallel workers")
@@ -365,19 +353,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _exit_code_for(exc: KinshipForgeError) -> int:
-    if isinstance(exc, AmbiguousAnswerError):
-        return _EXIT_AMBIGUOUS
-    if isinstance(exc, NoPathError):
-        return _EXIT_NO_PATH
-    if isinstance(
-        exc,
-        (GenerationBudgetError, UnexpandableError, NoiseSearchError, PoolExhaustedError),
-    ):
-        return _EXIT_GENERATION
-    return _EXIT_CONFIG
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -386,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except KinshipForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
     except OSError as exc:  # unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -58,9 +58,7 @@ from .narrative import (
     render_story,
     split_bank,
 )
-from .ontology import (
-    Gender, RuleBase, enumerate_shapes, shape_id, shape_keys, surface
-)
+from .ontology import Gender, RuleBase, enumerate_shapes, shape_id, surface
 from .solver import MAX_PATH_LEN, solve
 
 
@@ -187,12 +185,12 @@ def _prepare_bank(bank: TemplateBank, cfg: SplitConfig) -> TemplateBank:
 def _check_atom_coverage(bank: TemplateBank, rb: RuleBase) -> None:
     """Every single-fact key must be renderable on both sides of the split."""
     missing = []
-    for shape in enumerate_shapes(1, rb):
+    for key in enumerate_shapes(1, rb):
         for split in (Split.TRAIN, Split.TEST):
             try:
-                bank.eligible(shape.atoms, split)
+                bank.eligible(key, split)
             except (CoverageError, NoEligibleTemplateError):
-                missing.append((shape.atoms, split.value))
+                missing.append((key, split.value))
     if missing:
         raise CoverageError(
             f"bank cannot render {len(missing)} single-fact key/split combinations, "
@@ -208,7 +206,7 @@ def draw_held_out_shapes(cfg: SplitConfig, rb: RuleBase) -> dict[int, frozenset[
     for k in sorted(cfg.train_ks):
         if k <= 2:
             continue
-        ids = sorted(shape_id(key) for key in shape_keys(enumerate_shapes(k, rb)))
+        ids = sorted(shape_id(key) for key in enumerate_shapes(k, rb))
         n = math.ceil(cfg.shape_holdout_frac * len(ids))
         rng = random.Random(derive_seed(cfg.master_seed, "shape-holdout", k))
         held[k] = frozenset(rng.sample(ids, n))

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
-Every error raised on purpose derives from KinshipForgeError so the CLI
-can map the whole family onto exit codes. `read_utf8` is the one reader
-of input text files, so a file that is not UTF-8 fails as a named error.
+Every error raised on purpose derives from KinshipForgeError and carries
+the CLI exit code it ends a run with: 1 unless its class says otherwise.
+`read_utf8` is the one reader of input text files, so a file that is not
+UTF-8 fails as a named error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from pathlib import Path
 class KinshipForgeError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ConfigError(KinshipForgeError):
     """Bad parameter, flag, config-file entry, or rule file."""
@@ -20,6 +23,8 @@ class ConfigError(KinshipForgeError):
 
 class PoolExhaustedError(KinshipForgeError):
     """Name or cloze-token pool too small for the requested assignment."""
+
+    exit_code = 4
 
 
 class EdgeConflictError(KinshipForgeError):
@@ -33,9 +38,13 @@ class ClosureConflictError(EdgeConflictError):
 class UnexpandableError(KinshipForgeError):
     """Backward chaining exhausted its restart budget without reaching length k."""
 
+    exit_code = 4
+
 
 class NoiseSearchError(KinshipForgeError):
     """No noise path satisfying the structural constraints was found."""
+
+    exit_code = 4
 
 
 class BankFormatError(KinshipForgeError):
@@ -57,9 +66,13 @@ class InsufficientTemplatesError(KinshipForgeError):
 class NoPathError(KinshipForgeError):
     """No derivable simple path between the query entities."""
 
+    exit_code = 3
+
 
 class AmbiguousAnswerError(KinshipForgeError):
     """Fact set derives more than one predicate for the query pair."""
+
+    exit_code = 2
 
     def __init__(self, predicates) -> None:
         names = ", ".join(sorted(p.value for p in predicates))
@@ -73,6 +86,8 @@ class EnumerationCapError(KinshipForgeError):
 
 class GenerationBudgetError(KinshipForgeError):
     """A puzzle could not be produced within the per-row retry budget."""
+
+    exit_code = 4
 
 
 class SchemaError(KinshipForgeError):

@@ -36,7 +36,6 @@ from .ontology import (
     enumerate_shapes,
     parse_gender,
     parse_predicate,
-    shape_keys,
     surface,
 )
 from .solver import fold_predicates
@@ -187,7 +186,7 @@ def synth_bank(rb: RuleBase, variants: int = 1) -> TemplateBank:
         raise ConfigError(f"variants must lie in 1..{len(_VARIANT_PATTERNS)}")
     templates = []
     for k in (1, 2, 3):
-        for index, key in enumerate(shape_keys(enumerate_shapes(k, rb))):
+        for index, key in enumerate(enumerate_shapes(k, rb)):
             for v in range(variants):
                 sentences = [
                     _VARIANT_PATTERNS[v].format(
@@ -228,29 +227,22 @@ def split_bank(bank: TemplateBank, holdout_frac: float, seed: int) -> TemplateBa
     return TemplateBank(tagged, provenance=bank.provenance)
 
 
-def _partitions(length: int) -> list[tuple[int, ...]]:
-    """Ordered compositions of length into parts of size 1..3."""
-    if length == 0:
-        return [()]
-    out = []
-    for part in (1, 2, 3):
-        if part <= length:
-            out.extend((part,) + rest for rest in _partitions(length - part))
-    return out
+def _segmentations(atoms: tuple[Atom, ...]) -> list[list[tuple[Atom, ...]]]:
+    """Every split of atoms into consecutive runs of 1-3 atoms, shorter first run first."""
+    if not atoms:
+        return [[]]
+    return [
+        [atoms[:n]] + rest
+        for n in (1, 2, 3)
+        if n <= len(atoms)
+        for rest in _segmentations(atoms[n:])
+    ]
 
 
 def _partition_with(
     rng: random.Random, atoms: tuple[Atom, ...], bank: TemplateBank
 ) -> list[tuple[Atom, ...]]:
-    valid = []
-    for parts in _partitions(len(atoms)):
-        segments = []
-        offset = 0
-        for part in parts:
-            segments.append(atoms[offset : offset + part])
-            offset += part
-        if all(seg in bank for seg in segments):
-            valid.append(segments)
+    valid = [segs for segs in _segmentations(atoms) if all(seg in bank for seg in segs)]
     if not valid:
         raise CoverageError(f"no bank-coverable partition of {atoms}")
     return rng.choice(valid)

@@ -232,20 +232,6 @@ def default_rulebase() -> RuleBase:
 Atom = tuple[Predicate, Gender]
 
 
-@dataclass(frozen=True)
-class ClauseShape:
-    """Gendered silhouette of a fact chain.
-
-    atoms[i] is (predicate, gender of the edge's second entity) for the
-    i-th chain edge; head is the derived relation over the chain endpoints,
-    gendered like the final entity. The path-start entity's gender is not
-    part of the shape. The atoms are also the template bank's lookup key.
-    """
-
-    atoms: tuple[Atom, ...]
-    head: Atom
-
-
 def shape_id(atoms: Sequence[Atom]) -> str:
     """Compact stable identifier, e.g. 'child.f|SO.m'."""
     return "|".join(f"{p.value}.{g.value[0]}" for p, g in atoms)
@@ -268,46 +254,36 @@ def genders_consistent(atoms: Sequence[Atom]) -> bool:
     return True
 
 
-def _expansions(shape: ClauseShape, rb: RuleBase) -> Iterable[ClauseShape]:
-    for i, (pred, gender) in enumerate(shape.atoms):
+def _expansions(atoms: tuple[Atom, ...], rb: RuleBase) -> Iterable[tuple[Atom, ...]]:
+    for i, (pred, gender) in enumerate(atoms):
         for rule in rb.rules_for_head(pred):
             first, second = rule.body
             for midpoint_gender in Gender:
-                atoms = (
-                    shape.atoms[:i]
-                    + ((first, midpoint_gender), (second, gender))
-                    + shape.atoms[i + 1 :]
+                expanded = (
+                    atoms[:i] + ((first, midpoint_gender), (second, gender)) + atoms[i + 1 :]
                 )
-                if genders_consistent(atoms):
-                    yield ClauseShape(atoms, shape.head)
+                if genders_consistent(expanded):
+                    yield expanded
 
 
 # longest shape enumerate_shapes() builds; each level is about 7x the last
 MAX_SHAPE_LEN = 6
 
 
-def enumerate_shapes(k: int, rb: RuleBase) -> tuple[ClauseShape, ...]:
+def enumerate_shapes(k: int, rb: RuleBase) -> tuple[tuple[Atom, ...], ...]:
     """All distinct gendered shapes of length k reachable by rule expansion.
 
-    Level 1 is every (rule-bearing predicate, gender) pair; each further
-    level replaces one atom with a rule body under gender consistency.
-    Returned in canonical order. Shapes are distinct (atoms, head) pairs;
-    one atom list can carry several derivable heads.
+    A shape is its atom key: atoms[i] is (predicate, gender of the edge's
+    second entity) for the i-th chain edge; the path-start entity's gender
+    is not part of it. Level 1 is every (rule-bearing predicate, gender)
+    pair; each further level replaces one atom with a rule body under
+    gender consistency. Returned sorted by atom_sort_key.
     """
     if k < 1:
         raise ConfigError(f"shape length must be >= 1, got {k}")
     if k > MAX_SHAPE_LEN:
         raise EnumerationCapError(f"shape length {k} exceeds cap {MAX_SHAPE_LEN}")
-    level: set[ClauseShape] = {
-        ClauseShape(((p, g),), (p, g)) for p in rb.rule_bearing for g in Gender
-    }
+    level = {((p, g),) for p in rb.rule_bearing for g in Gender}
     for _ in range(k - 1):
-        level = {new for shape in level for new in _expansions(shape, rb)}
-    return tuple(
-        sorted(level, key=lambda s: (atom_sort_key(s.atoms), atom_sort_key([s.head])))
-    )
-
-
-def shape_keys(shapes: Iterable[ClauseShape]) -> tuple[tuple[Atom, ...], ...]:
-    """Distinct atom lists (template keys) of the given shapes, sorted."""
-    return tuple(sorted({s.atoms for s in shapes}, key=atom_sort_key))
+        level = {new for atoms in level for new in _expansions(atoms, rb)}
+    return tuple(sorted(level, key=atom_sort_key))

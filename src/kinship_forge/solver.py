@@ -69,15 +69,6 @@ def _augmented(facts: Iterable[Fact]) -> dict[tuple[int, int], frozenset[Predica
     return {pair: frozenset(preds) for pair, preds in pairs.items()}
 
 
-def _path_fold(
-    vertices: Sequence[int],
-    pairs: Mapping[tuple[int, int], frozenset[Predicate]],
-    rb: RuleBase,
-) -> SpanTable:
-    leaves = [pairs[(a, b)] for a, b in zip(vertices, vertices[1:])]
-    return _span_table(leaves, rb)
-
-
 def _witness(
     table: SpanTable,
     vertices: Sequence[int],
@@ -128,7 +119,7 @@ def solve(
     for vertices in simple_paths(adjacency.__getitem__, start, MAX_PATH_LEN, {goal}):
         if vertices[-1] != goal:
             continue
-        table = _path_fold(vertices, pairs, rb)
+        table = _span_table([pairs[(a, b)] for a, b in zip(vertices, vertices[1:])], rb)
         heads = table[(0, len(vertices) - 1)]
         derived.update(heads)
         if heads and witness_path is None:

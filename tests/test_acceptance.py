@@ -43,7 +43,6 @@ from kinship_forge.ontology import (
     Predicate,
     enumerate_shapes,
     shape_id,
-    shape_keys,
 )
 from kinship_forge.solver import solve
 
@@ -83,7 +82,7 @@ def test_criterion_2_shape_enumeration(rb):
     observed: dict[int, int] = {}
     diff_vs_brute: dict[int, set] = {}
     for k in (1, 2, 3):
-        ordered = shape_keys(enumerate_shapes(k, rb))
+        ordered = enumerate_shapes(k, rb)
         keys = set(ordered)
         observed[k] = len(keys)
         diff_vs_brute[k] = keys ^ brute_force_shape_keys(k, rb)

@@ -2,12 +2,13 @@ import hashlib
 import json
 import time
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 from _oracles import resolve_record, story_facts
-from kinship_forge.cli import main, parse_fact_file
-from kinship_forge.dataset import read_rows, rules_fingerprint
+from kinship_forge.cli import _CONFIG_COERCERS, main, parse_fact_file
+from kinship_forge.dataset import SplitConfig, read_rows, rules_fingerprint
 from kinship_forge.errors import ConfigError
 from kinship_forge.ontology import RuleBase, default_rulebase
 
@@ -273,6 +274,24 @@ class TestGenerate:
         assert rc == 1
         assert "empty k range" in err
 
+    @pytest.mark.parametrize("flag", ["--train-ks", "--test-ks"])
+    def test_empty_k_flag_exits_1(self, tmp_path, capsys, flag):
+        # the flag is read like the config line `train_ks =`, not skipped
+        rc, _, err = run(capsys, *GEN_TINY, flag, "", "--out", str(tmp_path / "c"))
+        assert rc == 1
+        assert "no k values in ''" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_row_budget_exhausted_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_row_attempts = 3\n")
+        rc, _, err = run(
+            capsys, "generate", "--config", str(cfg), "--n-train", "0",
+            "--test-ks", "11", "--n-test", "1", "--seed", "1", "--out", str(tmp_path / "c"),
+        )
+        assert rc == 4
+        assert "error: row test/k=11/i=0: no certified puzzle in 3 attempts" in err
+
     @pytest.mark.parametrize(
         "ks", ["13", "2-100000000", pytest.param("9" * 5000, id="5000-digits")]
     )
@@ -373,6 +392,9 @@ class TestGenerate:
 
 
 class TestConfigResolution:
+    def test_every_config_field_has_one_coercer(self):
+        assert set(_CONFIG_COERCERS) == {f.name for f in fields(SplitConfig)}
+
     def test_config_file_applies_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
