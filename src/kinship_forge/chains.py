@@ -49,22 +49,12 @@ class NoiseKind(Enum):
 
 
 def sample_target(g: KinshipGraph, seed: int) -> Fact:
-    """Uniform draw over every edge of the graph.
-
-    Draws an index into the sorted edges, as choice(g.facts()) would,
-    and walks the adjacency to it without building the facts.
-    """
-    count = g.edge_count
-    if not count:
+    """Uniform draw over g's sorted edges, which g builds once and shares
+    with its regendered twins."""
+    facts = g.facts()
+    if not facts:
         raise ConfigError("cannot sample a target from an edgeless graph")
-    index = random.Random(seed).choice(range(count))
-    for src in sorted(g.entities):
-        out = g.out_of(src)
-        if index < len(out):
-            break
-        index -= len(out)
-    dst = sorted(out)[index]
-    return Fact(src, dst, out[dst])
+    return random.Random(seed).choice(facts)
 
 
 # fresh expansions backward_chain tries before it gives up

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import re
 import sys
@@ -37,8 +36,6 @@ from .ontology import (
 )
 from .narrative import Naming, load_bank, synth_bank
 from .solver import MAX_PATH_LEN, solve
-
-log = logging.getLogger("kinship_forge")
 
 SEED_ENV_VAR = "KINSHIP_FORGE_SEED"
 
@@ -173,7 +170,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     rb = _load_rules(args.rules)
     bank = _resolve_bank(args, cfg, rb)
-    log.info("generating with master_seed=%d", cfg.master_seed)
     train, test, manifest = generate_dataset(cfg, bank, rb, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,12 +286,6 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--version", action="version", version=f"kinship-forge {__version__}"
     )
-    parser.add_argument(
-        "--log-level",
-        default="warning",
-        choices=("debug", "info", "warning", "error"),
-        help="logging verbosity",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="build train/test corpora plus manifest")
@@ -356,7 +346,6 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
     except KinshipForgeError as exc:

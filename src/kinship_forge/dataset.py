@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .chains import (
-    FactPath,
     NoiseKind,
     backward_chain,
     sample_disconnected_noise,
@@ -44,6 +43,7 @@ from .errors import (
     UnexpandableError,
 )
 from .familygraph import (
+    Fact,
     KinshipGraph,
     assign_names,
     close_graph,
@@ -58,7 +58,7 @@ from .narrative import (
     render_story,
     split_bank,
 )
-from .ontology import Gender, RuleBase, enumerate_shapes, shape_id, surface
+from .ontology import MAX_SHAPE_LEN, Gender, RuleBase, enumerate_shapes, shape_id
 from .solver import MAX_PATH_LEN, solve
 
 
@@ -100,6 +100,11 @@ class SplitConfig:
         ):
             if not 0.0 <= frac <= 1.0:
                 raise ConfigError(f"{label} must lie in [0, 1]")
+        if self.shape_holdout_frac > 0 and max(self.train_ks) > MAX_SHAPE_LEN:
+            raise ConfigError(
+                f"train_ks entries must be <= {MAX_SHAPE_LEN} while shape_holdout_frac > 0, "
+                f"since no shape longer than {MAX_SHAPE_LEN} is enumerated to hold out"
+            )
         if self.n_train_per_k < 0 or self.n_test_per_k < 0:
             raise ConfigError("row counts must be >= 0")
         if self.max_row_attempts < 1:
@@ -190,7 +195,7 @@ def _check_atom_coverage(bank: TemplateBank, rb: RuleBase) -> None:
             try:
                 bank.eligible(key, split)
             except (CoverageError, NoEligibleTemplateError):
-                missing.append((key, split.value))
+                missing.append(f"{shape_id(key)} ({split.value})")
     if missing:
         raise CoverageError(
             f"bank cannot render {len(missing)} single-fact key/split combinations, "
@@ -289,8 +294,8 @@ class RowGenerator:
         if split == "train" and sid in held_out:
             return None
         noise_kind = self.cfg.noise_for(split)
-        noise: FactPath | None = None
-        noise_world: KinshipGraph | None = None
+        noise = None
+        world = g  # the noise path's graph: a world of its own for disconnected noise
         if noise_kind is not None:
             noise_seed = derive_seed(row_seed, attempt, "noise")
             if noise_kind is NoiseKind.SUPPORTING:
@@ -298,18 +303,16 @@ class RowGenerator:
             elif noise_kind is NoiseKind.IRRELEVANT:
                 noise = sample_irrelevant_noise(g, chain, noise_seed)
             else:
-                noise, noise_world = sample_disconnected_noise(noise_seed, self._close)
-        genders = g.entities
+                noise, world = sample_disconnected_noise(noise_seed, self._close)
+        genders = {**g.entities, **world.entities}
         names = None
         if self.pool is not None:
             names = assign_names(g, self.pool, derive_seed(row_seed, attempt, "names"))
-        if noise_world is not None:
-            genders = {**genders, **noise_world.entities}
-            if names is not None:
+            if world is not g:
                 used = set(names.values())
                 rest = tuple(p for p in self.pool if p[0] not in used)
                 world_seed = derive_seed(row_seed, attempt, "noise-names")
-                names.update(assign_names(noise_world, rest, world_seed))
+                names.update(assign_names(world, rest, world_seed))
         rendered = render_story(
             chain,
             noise,
@@ -332,22 +335,17 @@ class RowGenerator:
             )
             if full.predicate is not target.pred:
                 return None
-        label = surface(target.pred, genders_by_id[target.dst])
         return PuzzleRecord(
             id=f"{split}-k{k}-{index:05d}",
             split=split,
             k=k,
-            label=label,
+            label=base.label,
             query_head=token_of[target.src],
             query_tail=token_of[target.dst],
             story=rendered.text,
             genders={token_of[i]: genders_by_id[i].value for i in token_of},
-            facts=tuple(
-                f"{f.pred.value}({token_of[f.src]},{token_of[f.dst]})" for f in chain.facts
-            ),
-            noise_facts=tuple(
-                f"{f.pred.value}({token_of[f.src]},{token_of[f.dst]})" for f in noise_facts
-            ),
+            facts=_named(chain.facts, token_of),
+            noise_facts=_named(noise_facts, token_of),
             noise_kind=noise_kind.value if noise_kind else None,
             shape_id=sid,
             shape_held_out=sid in held_out,
@@ -355,6 +353,10 @@ class RowGenerator:
             proof_trace=base.proof,
             seed=row_seed,
         )
+
+
+def _named(facts: tuple[Fact, ...], token_of: dict[int, str]) -> tuple[str, ...]:
+    return tuple(f"{f.pred.value}({token_of[f.src]},{token_of[f.dst]})" for f in facts)
 
 
 # each pool worker's RowGenerator, sent once by the pool initializer

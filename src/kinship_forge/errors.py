@@ -27,11 +27,7 @@ class PoolExhaustedError(KinshipForgeError):
     exit_code = 4
 
 
-class EdgeConflictError(KinshipForgeError):
-    """Two different predicates asserted for the same ordered entity pair."""
-
-
-class ClosureConflictError(EdgeConflictError):
+class ClosureConflictError(KinshipForgeError):
     """Closure derived two different predicates for one pair in the same round."""
 
 

@@ -11,16 +11,9 @@ import random
 from collections.abc import Callable, Collection, Iterator, Reversible
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
-from .errors import (
-    ClosureConflictError,
-    ConfigError,
-    EdgeConflictError,
-    PoolExhaustedError,
-    read_utf8,
-)
-from .ontology import Gender, Predicate, RuleBase, parse_gender
+from .errors import ClosureConflictError, ConfigError, PoolExhaustedError
+from .ontology import Gender, Predicate, RuleBase
 
 
 @dataclass(frozen=True)
@@ -40,8 +33,9 @@ class KinshipGraph:
 
     `entities` maps each id to its gender. Keeps out- and in-adjacency
     for the closure and the chain sampler, and, built on demand, the
-    out-adjacency grouped by predicate. `id_base` offsets fresh ids so
-    two graphs can stay disjoint.
+    out-adjacency grouped by predicate and the sorted edges; a new edge
+    drops both. `id_base` offsets fresh ids so two graphs can stay
+    disjoint.
     """
 
     def __init__(self, id_base: int = 0) -> None:
@@ -50,6 +44,7 @@ class KinshipGraph:
         self._out: dict[int, dict[int, Predicate]] = {}
         self._in: dict[int, dict[int, Predicate]] = {}
         self._by_pred: dict[int, dict[Predicate, list[int]]] = {}
+        self._facts: tuple[Fact, ...] | None = None
 
     def add_entity(self, gender: Gender) -> int:
         """Add an entity of this gender and return its fresh id."""
@@ -66,12 +61,11 @@ class KinshipGraph:
             raise ConfigError(f"edge endpoints {src},{dst} not both in graph")
         existing = self._out[src].get(dst)
         if existing is not None and existing is not pred:
-            raise EdgeConflictError(
-                f"({src},{dst}) already {existing.value}, refusing {pred.value}"
-            )
+            raise ConfigError(f"({src},{dst}) already {existing.value}, refusing {pred.value}")
         self._out[src][dst] = pred
         self._in[dst][src] = pred
         self._by_pred.pop(src, None)
+        self._facts = None
 
     def predicate(self, src: int, dst: int) -> Predicate | None:
         out = self._out.get(src)
@@ -103,7 +97,8 @@ class KinshipGraph:
         return tuple((src, tuple(out.items())) for src, out in self._out.items())
 
     def regendered(self, entities: dict[int, Gender]) -> "KinshipGraph":
-        """A graph with these genders over this graph's adjacency, shared, not copied.
+        """A graph with these genders over this graph's adjacency and
+        sorted edges, shared, not copied.
 
         entities must have this graph's ids. Neither graph may then gain
         an edge, since the other would see it.
@@ -113,18 +108,21 @@ class KinshipGraph:
         twin._out = self._out
         twin._in = self._in
         twin._by_pred = self._by_pred
+        twin._facts = self.facts()
         return twin
 
     def gender(self, entity_id: int) -> Gender:
         return self.entities[entity_id]
 
     def facts(self) -> tuple[Fact, ...]:
-        """All edges as Facts, sorted for determinism."""
-        return tuple(
-            Fact(src, dst, pred)
-            for src in sorted(self._out)
-            for dst, pred in sorted(self._out[src].items())
-        )
+        """All edges as Facts, sorted for determinism; built once per edge set."""
+        if self._facts is None:
+            self._facts = tuple(
+                Fact(src, dst, pred)
+                for src in sorted(self._out)
+                for dst, pred in sorted(self._out[src].items())
+            )
+        return self._facts
 
     @property
     def edge_count(self) -> int:
@@ -209,8 +207,6 @@ def generate_backbone(seed: int, generations: int = 3, id_base: int = 0) -> Kins
                         _marry(g, kid, spouse)
                         next_couples.append((kid, spouse))
         couples = next_couples
-        if not couples:
-            break
     return g
 
 
@@ -255,28 +251,12 @@ def close_graph(g: KinshipGraph, rb: RuleBase) -> KinshipGraph:
     return out
 
 
-def load_name_pool(path: str | Path) -> tuple[tuple[str, Gender], ...]:
-    """Read `name,gender` lines into an ordered pool."""
-    pool = []
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            name, gender_text = line.split(",")
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: expected 'name,gender'") from None
-        pool.append((name.strip(), parse_gender(gender_text.strip())))
-    names = [n for n, _ in pool]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{path}: duplicate names in pool")
-    return tuple(pool)
-
-
 def default_name_pool() -> tuple[tuple[str, Gender], ...]:
-    source = resources.files("kinship_forge").joinpath("data/names.txt")
-    with resources.as_file(source) as path:
-        return load_name_pool(path)
+    """The bundled pool: data/names.txt's `name,gender` lines in file order."""
+    text = resources.files("kinship_forge").joinpath("data/names.txt").read_text(encoding="utf-8")
+    return tuple(
+        (name, Gender(gender)) for name, gender in (line.split(",") for line in text.split())
+    )
 
 
 def assign_names(

@@ -36,6 +36,7 @@ from .ontology import (
     enumerate_shapes,
     parse_gender,
     parse_predicate,
+    shape_id,
     surface,
 )
 from .solver import fold_predicates
@@ -92,11 +93,11 @@ class TemplateBank:
     def eligible(self, key: tuple[Atom, ...], split: Split) -> tuple[Template, ...]:
         pool = self._by_key.get(key)
         if not pool:
-            raise CoverageError(f"bank has no templates for key {key}")
+            raise CoverageError(f"bank has no templates for key {shape_id(key)}")
         chosen = tuple(t for t in pool if t.split is split or t.split is Split.UNSPLIT)
         if not chosen:
             raise NoEligibleTemplateError(
-                f"all templates for key {key} sit outside split {split.value}"
+                f"all templates for key {shape_id(key)} sit outside split {split.value}"
             )
         return chosen
 
@@ -217,7 +218,7 @@ def split_bank(bank: TemplateBank, holdout_frac: float, seed: int) -> TemplateBa
         n_test = math.ceil(holdout_frac * len(pool))
         if n_test >= len(pool):
             raise InsufficientTemplatesError(
-                f"key {key}: {len(pool)} templates cannot give up {n_test} to test"
+                f"key {shape_id(key)}: {len(pool)} templates cannot give up {n_test} to test"
             )
         test_ids = set(rng.sample([t.id for t in pool], n_test))
         tagged.extend(
@@ -244,7 +245,7 @@ def _partition_with(
 ) -> list[tuple[Atom, ...]]:
     valid = [segs for segs in _segmentations(atoms) if all(seg in bank for seg in segs)]
     if not valid:
-        raise CoverageError(f"no bank-coverable partition of {atoms}")
+        raise CoverageError(f"no bank-coverable partition of {shape_id(atoms)}")
     return rng.choice(valid)
 
 

@@ -188,6 +188,12 @@ class TestParser:
         assert exc.value.code == 0
         assert "kinship-forge 0.1.0" in capsys.readouterr().out
 
+    def test_log_level_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level=info", "shapes", "--k", "1"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --log-level=info" in capsys.readouterr().err
+
     def test_generate_help_names_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--help"])
@@ -303,11 +309,38 @@ class TestGenerate:
         assert "path cap 12" in err
         assert not (tmp_path / "c").exists()
 
-    # sha256 of two small corpora, one per format, each with a noisy test
-    # split; a change that alters the generated bytes on purpose updates
-    # them and says so
+    def test_train_k_above_shape_cap_needs_no_shape_holdout(self, tmp_path, capsys):
+        argv = ("generate", "--train-ks", "7", "--test-ks", "2", "--n-train", "1",
+                "--n-test", "1", "--seed", "1")
+        rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "c"))
+        assert rc == 1
+        assert "error: train_ks entries must be <= 6 while shape_holdout_frac > 0" in err
+        assert not (tmp_path / "c").exists()
+        rc, _, _ = run(capsys, *argv, "--shape-holdout", "0", "--out", str(tmp_path / "d"))
+        assert rc == 0
+
+    def test_template_key_errors_name_the_shape(self, tmp_path, capsys):
+        rc, _, err = run(capsys, *GEN_TINY, "--template-holdout", "1.0", "--out", str(tmp_path))
+        assert rc == 1
+        assert "error: key child.m: 3 templates cannot give up 3 to test" in err
+        bank = tmp_path / "bank.jsonl"
+        bank.write_text(
+            json.dumps({"id": "t0", "key": [["child", "male"]], "text": "[ENT_0] has [ENT_1]."})
+            + "\n"
+        )
+        rc, _, err = run(
+            capsys, *GEN_TINY, "--bank", str(bank), "--template-holdout", "0",
+            "--out", str(tmp_path),
+        )
+        assert rc == 1
+        assert "single-fact key/split combinations, first: child.f (train)" in err
+
+    # sha256 of three small corpora, each with a noisy test split, keyed
+    # by case and giving its format; a change that alters the generated
+    # bytes on purpose updates them and says so
     PINNED = {
         "csv": (
+            "csv",
             ("--noise-test", "disconnected"),
             {
                 "train.csv": "3a1108ce268376fbc8a107ac5236e79951fd9e6d448b4eb6b6c01235f22eabe3",
@@ -316,6 +349,7 @@ class TestGenerate:
             },
         ),
         "jsonl": (
+            "jsonl",
             ("--noise-test", "supporting", "--naming", "cloze"),
             {
                 "train.jsonl": "f21326329b10942ed948f7a3659d1778ef16a001989c4868137a1aa7ac39a87f",
@@ -323,11 +357,20 @@ class TestGenerate:
                 "manifest.json": "d7261045b540fb2034fb91688505eba8b8af5b930e3dcd72e22dd2783f40b960",
             },
         ),
+        "irrelevant": (
+            "csv",
+            ("--noise-test", "irrelevant"),
+            {
+                "train.csv": "3a1108ce268376fbc8a107ac5236e79951fd9e6d448b4eb6b6c01235f22eabe3",
+                "test.csv": "cb7670fc926da32beeec11353003c410c0568d3922136dfd1f15f86dbb973a8b",
+                "manifest.json": "58e6a11c7c2e7f6f6979773e991397a157d878470be71d1142d6fc2535d961a5",
+            },
+        ),
     }
 
-    @pytest.mark.parametrize("fmt", sorted(PINNED))
-    def test_output_bytes_pinned(self, tmp_path, capsys, fmt):
-        flags, expected = self.PINNED[fmt]
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_output_bytes_pinned(self, tmp_path, capsys, case):
+        fmt, flags, expected = self.PINNED[case]
         rc, _, _ = run(
             capsys, "generate", "--preset", "gen-k23", "--seed", "7", "--test-ks", "2-4",
             "--n-train", "100", "--n-test", "20", "--format", fmt, *flags,
@@ -341,17 +384,12 @@ class TestGenerate:
         assert digests == expected
 
     @pytest.mark.parametrize(
-        "fmt, flags",
-        [
-            ("csv", PINNED["csv"][0]),
-            ("jsonl", PINNED["jsonl"][0]),
-            ("csv", ("--noise-test", "irrelevant")),
-        ],
-        ids=["pinned-csv", "pinned-jsonl", "irrelevant"],
+        "case", ["csv", "jsonl", "irrelevant"], ids=["pinned-csv", "pinned-jsonl", "irrelevant"]
     )
-    def test_story_tells_the_row_facts(self, tmp_path, capsys, fmt, flags):
+    def test_story_tells_the_row_facts(self, tmp_path, capsys, case):
         # the story, read back through the bank's sentence patterns, states
         # exactly facts + noise_facts, each second entity with its gender
+        fmt, flags, _ = self.PINNED[case]
         rc, _, _ = run(
             capsys, "generate", "--preset", "gen-k23", "--seed", "7", "--test-ks", "2-4",
             "--n-train", "100", "--n-test", "20", "--format", fmt, *flags,

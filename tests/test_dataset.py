@@ -10,7 +10,6 @@ from kinship_forge.dataset import (
     COLUMNS,
     PRESETS,
     BankStats,
-    PuzzleRecord,
     RowGenerator,
     SplitConfig,
     compute_stats,
@@ -246,6 +245,7 @@ def test_closed_worlds_are_left_as_closed(rb, tri_bank, monkeypatch, train_noise
     for structure, closed in worlds.items():
         fresh = close_graph(backbone_of(structure), rb)
         assert closed.structure() == fresh.structure()
+        assert closed.facts() == fresh.copy().facts()  # copy() starts with no memo
         for v in fresh.entities:
             assert closed.in_of(v) == fresh.in_of(v)
             assert closed.out_by_pred(v) == fresh.out_by_pred(v)

@@ -14,7 +14,6 @@ from kinship_forge.errors import (
 )
 from kinship_forge.familygraph import (
     Fact,
-    KinshipGraph,
     close_graph,
     generate_backbone,
 )
