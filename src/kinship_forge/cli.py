@@ -173,13 +173,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     train, test, manifest = generate_dataset(cfg, bank, rb, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    suffix = args.format
-    train_path = out / f"train.{suffix}"
-    test_path = out / f"test.{suffix}"
+    train_path = out / f"train.{args.format}"
+    test_path = out / f"test.{args.format}"
     manifest_path = out / "manifest.json"
-    write_rows(train, train_path, args.format)
-    write_rows(test, test_path, args.format)
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    write_rows(train, train_path)
+    write_rows(test, test_path)
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8", newline="\n")
     for split, counts in manifest["counts"].items():
         for k in sorted(counts, key=int):
             print(f"{split} k={k}: {counts[k]} rows")

@@ -18,6 +18,7 @@ import random
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 from . import __version__
@@ -120,37 +121,22 @@ class SplitConfig:
         return self.train_noise if split == "train" else self.test_noise
 
     def as_dict(self) -> dict:
-        raw = asdict(self)
-        raw["train_ks"] = sorted(self.train_ks)
-        raw["test_ks"] = sorted(self.test_ks)
-        raw["train_noise"] = self.train_noise.value if self.train_noise else None
-        raw["test_noise"] = self.test_noise.value if self.test_noise else None
-        raw["naming"] = self.naming.value
-        return raw
+        """The fields as JSON values: tuples sorted, enums by their value."""
+        return {
+            key: sorted(v) if isinstance(v, tuple) else v.value if isinstance(v, Enum) else v
+            for key, v in asdict(self).items()
+        }
 
 
 PRESETS: dict[str, SplitConfig] = {
     "gen-k23": SplitConfig(train_ks=(2, 3)),
     "gen-k234": SplitConfig(train_ks=(2, 3, 4)),
-    "robust-clean": SplitConfig(train_ks=(2, 3), test_ks=(2, 3)),
-    "robust-supporting": SplitConfig(
-        train_ks=(2, 3),
-        test_ks=(2, 3),
-        train_noise=NoiseKind.SUPPORTING,
-        test_noise=NoiseKind.SUPPORTING,
-    ),
-    "robust-irrelevant": SplitConfig(
-        train_ks=(2, 3),
-        test_ks=(2, 3),
-        train_noise=NoiseKind.IRRELEVANT,
-        test_noise=NoiseKind.IRRELEVANT,
-    ),
-    "robust-disconnected": SplitConfig(
-        train_ks=(2, 3),
-        test_ks=(2, 3),
-        train_noise=NoiseKind.DISCONNECTED,
-        test_noise=NoiseKind.DISCONNECTED,
-    ),
+    **{
+        f"robust-{kind.value if kind else 'clean'}": SplitConfig(
+            train_ks=(2, 3), test_ks=(2, 3), train_noise=kind, test_noise=kind
+        )
+        for kind in (None, *NoiseKind)
+    },
 }
 
 
@@ -175,6 +161,16 @@ class PuzzleRecord:
 
 
 COLUMNS = tuple(f.name for f in fields(PuzzleRecord))
+# a row file's typed columns, JSON in a CSV cell; the rest are text, noise_kind or null
+_COLUMN_TYPES = {
+    "k": int,
+    "seed": int,
+    "shape_held_out": bool,
+    "genders": dict,
+    "facts": list,
+    "noise_facts": list,
+    "template_ids": list,
+}
 
 
 def _prepare_bank(bank: TemplateBank, cfg: SplitConfig) -> TemplateBank:
@@ -420,8 +416,7 @@ def generate_dataset(
             rows = list(executor.map(_worker_row, specs, chunksize=chunk))
     train = [r for r in rows if r.split == "train"]
     test = [r for r in rows if r.split == "test"]
-    manifest = build_manifest(cfg, prepared, rb, held, train, test)
-    return train, test, manifest
+    return train, test, build_manifest(cfg, prepared, rb, held)
 
 
 def bank_fingerprint(bank: TemplateBank) -> str:
@@ -444,23 +439,18 @@ def build_manifest(
     bank: TemplateBank,
     rb: RuleBase,
     held: dict[int, frozenset[str]],
-    train: list[PuzzleRecord],
-    test: list[PuzzleRecord],
 ) -> dict:
-    counts: dict[str, dict[str, int]] = {"train": {}, "test": {}}
-    for row in train:
-        counts["train"][str(row.k)] = counts["train"].get(str(row.k), 0) + 1
-    for row in test:
-        counts["test"][str(row.k)] = counts["test"].get(str(row.k), 0) + 1
+    # every spec yields one row or the run fails, so the config gives the counts
+    counts = {
+        "train": {str(k): cfg.n_train_per_k for k in sorted(cfg.train_ks) if cfg.n_train_per_k},
+        "test": {str(k): cfg.n_test_per_k for k in sorted(cfg.test_ks) if cfg.n_test_per_k},
+    }
     bank_print = bank_fingerprint(bank)
     rules_print = rules_fingerprint(rb)
     config_payload = json.dumps(
         {"config": cfg.as_dict(), "bank": bank_print, "rules": rules_print},
         sort_keys=True,
     )
-    by_split: dict[str, list[str]] = {"train": [], "test": [], "unsplit": []}
-    for t in bank.all_templates():
-        by_split[t.split.value].append(t.id)
     return {
         "tool": "kinship-forge",
         "version": __version__,
@@ -475,9 +465,8 @@ def build_manifest(
         },
         "rules_fingerprint": rules_print,
         "template_split": {
-            "train_ids": sorted(by_split["train"]),
-            "test_ids": sorted(by_split["test"]),
-            "unsplit_ids": sorted(by_split["unsplit"]),
+            f"{s.value}_ids": sorted(t.id for t in bank.all_templates() if t.split is s)
+            for s in Split
         },
         "shape_holdout_policy": "per-k over train ks greater than 2",
         "held_out_shapes": {str(k): sorted(ids) for k, ids in sorted(held.items())},
@@ -485,67 +474,62 @@ def build_manifest(
     }
 
 
-def _encode_cell(column: str, value: object) -> str:
-    if column in ("genders", "facts", "noise_facts", "template_ids"):
-        return json.dumps(value, separators=(",", ":"))
-    if column == "shape_held_out":
-        return "true" if value else "false"
-    if column == "noise_kind":
-        return "" if value is None else str(value)
-    return str(value)
+def _encode_cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _decode_cell(column: str, raw: str) -> object:
-    if column in ("genders", "facts", "noise_facts", "template_ids"):
-        value = json.loads(raw)
-        return tuple(value) if isinstance(value, list) else value
-    if column == "shape_held_out":
-        if raw not in ("true", "false"):
-            raise ValueError(f"shape_held_out must be true/false, got {raw!r}")
-        return raw == "true"
+    if column in _COLUMN_TYPES:
+        return json.loads(raw)
     if column == "noise_kind":
         return raw or None
-    if column in ("k", "seed"):
-        return int(raw)
     return raw
 
 
-def write_rows(rows: list[PuzzleRecord], path: str | Path, format: str = "csv") -> None:
-    """Serialize rows; identical input always yields identical bytes."""
+def _row_path(path: str | Path) -> Path:
+    """path as a Path, checked to name a row format by its suffix."""
     path = Path(path)
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+    if path.suffix not in (".csv", ".jsonl"):
+        raise ConfigError(f"cannot infer format from suffix of {path}")
+    return path
+
+
+def write_rows(rows: list[PuzzleRecord], path: str | Path) -> None:
+    """Serialize rows as the suffix says, CSV or JSON lines; same rows, same bytes."""
+    path = _row_path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if path.suffix == ".csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(COLUMNS)
             for row in rows:
-                writer.writerow([_encode_cell(c, getattr(row, c)) for c in COLUMNS])
-    elif format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
+                writer.writerow([_encode_cell(getattr(row, c)) for c in COLUMNS])
+        else:
             for row in rows:
                 obj = {c: getattr(row, c) for c in COLUMNS}
                 fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    else:
-        raise ConfigError(f"unknown format {format!r}; expected csv or jsonl")
 
 
 def _record_from_mapping(obj: dict, origin: str) -> PuzzleRecord:
     missing = [c for c in COLUMNS if c not in obj]
     if missing:
         raise SchemaError(f"{origin}: missing column(s) {', '.join(missing)}")
-    for col, kind in (("k", int), ("seed", int), ("shape_held_out", bool)):
-        if type(obj[col]) is not kind:  # not isinstance: True must not pass as a k
-            raise SchemaError(f"{origin}: {col} must be {kind.__name__}, got {obj[col]!r}")
-    for col in ("facts", "noise_facts", "template_ids"):
-        if isinstance(obj[col], list):
-            obj[col] = tuple(obj[col])
-    return PuzzleRecord(**{c: obj[c] for c in COLUMNS})
+    values = {}
+    for col in COLUMNS:
+        value, kind = obj[col], _COLUMN_TYPES.get(col, str)
+        # type, not isinstance: True must not pass as a k
+        if type(value) is not kind and not (col == "noise_kind" and value is None):
+            raise SchemaError(f"{origin}: {col} must be {kind.__name__}, got {value!r}")
+        values[col] = tuple(value) if kind is list else value
+    return PuzzleRecord(**values)
 
 
 def read_rows(path: str | Path) -> list[PuzzleRecord]:
     """Inverse of write_rows; format inferred from the file suffix."""
-    path = Path(path)
-    if path.suffix not in (".csv", ".jsonl"):
-        raise ConfigError(f"cannot infer format from suffix of {path}")
+    path = _row_path(path)
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:

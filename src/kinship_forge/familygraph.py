@@ -135,11 +135,6 @@ class KinshipGraph:
         dup._in = {i: dict(d) for i, d in self._in.items()}
         return dup
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KinshipGraph):
-            return NotImplemented
-        return self.entities == other.entities and self._out == other._out
-
 
 def simple_paths(
     out_of: Callable[[int], Reversible[int]],

@@ -151,9 +151,12 @@ def load_bank(path: str | Path, rb: RuleBase) -> TemplateBank:
         except json.JSONDecodeError as exc:
             raise BankFormatError(f"{path}:{lineno}: bad JSON ({exc.msg})") from None
         try:
-            key = tuple(
-                (parse_predicate(p), parse_gender(g)) for p, g in record["key"]
-            )
+            pairs = record["key"]
+            if not isinstance(pairs, list) or any(
+                not isinstance(pair, list) or len(pair) != 2 for pair in pairs
+            ):
+                raise ValueError("key must be a list of [predicate, gender] pairs")
+            key = tuple((parse_predicate(p), parse_gender(g)) for p, g in pairs)
             template = Template(
                 id=str(record["id"]),
                 key=key,

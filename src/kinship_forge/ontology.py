@@ -196,9 +196,6 @@ class RuleBase:
             seen.update(rule.body)
         return tuple(sorted(seen, key=PREDICATE_ORDER.__getitem__))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RuleBase) and self.rules == other.rules
-
     @classmethod
     def from_file(cls, path: str | Path) -> "RuleBase":
         """Parse `head <- body1 body2` lines; '#' starts a comment."""

@@ -21,6 +21,12 @@ from kinship_forge.ontology import (
 )
 from kinship_forge.solver import SolveResult, solve
 
+
+def graph_state(g: KinshipGraph) -> tuple:
+    """What makes two graphs one world: each entity's gender and the edges."""
+    return g.entities, g.facts()
+
+
 _FACT_STRING = re.compile(r"([a-z-]+|SO)\(([^,]+),([^)]+)\)")
 
 

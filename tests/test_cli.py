@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from _oracles import resolve_record, story_facts
+import kinship_forge
 from kinship_forge.cli import _CONFIG_COERCERS, main, parse_fact_file
 from kinship_forge.dataset import SplitConfig, read_rows, rules_fingerprint
 from kinship_forge.errors import ConfigError
@@ -238,6 +243,32 @@ class TestGenerate:
         assert (out_dir / "train.jsonl").exists()
         assert not (out_dir / "train.csv").exists()
         assert len(read_rows(out_dir / "train.jsonl")) == 3
+
+    def test_jobs_2_under_spawn_writes_the_jobs_1_bytes(self, tmp_path, capsys):
+        # fork lets each worker inherit the row generator, spawn must pickle
+        # it; CPython 3.14 makes forkserver, which also pickles, the default
+        flags = (
+            "generate", "--preset", "gen-k23", "--seed", "7", "--test-ks", "2-4",
+            "--n-train", "20", "--n-test", "10", "--noise-test", "disconnected",
+        )
+        assert run(capsys, *flags, "--out", str(tmp_path / "jobs1"))[0] == 0
+        script = (
+            "import multiprocessing, sys\n"
+            "from kinship_forge import cli, dataset\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "dataset._usable_cpus = lambda: 2  # two workers on a one-CPU host too\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(kinship_forge.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *flags, "--jobs", "2", "--out", str(tmp_path / "jobs2")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("train.csv", "test.csv", "manifest.json"):
+            jobs1, jobs2 = (tmp_path / d / name for d in ("jobs1", "jobs2"))
+            assert jobs2.read_bytes() == jobs1.read_bytes()
 
     def test_k_range_spelling(self, tmp_path, capsys):
         rc, _, _ = run(

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -132,6 +133,26 @@ def test_load_bank_honors_split_tags(tmp_path):
     path = write_bank(tmp_path, bank_record(split="test"))
     bank = load_bank(path, RB)
     assert bank.all_templates()[0].split is Split.TEST
+
+
+def test_readme_bank_example_loads(tmp_path):
+    # the README's example line is a bank the loader reads without a warning
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "bank.jsonl"
+    path.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (template,) = load_bank(path, RB).all_templates()
+    assert template.key == ((Predicate.CHILD, F), (Predicate.SIBLING, M))
+    assert template.split is Split.TRAIN
+
+
+@pytest.mark.parametrize("key", [["child.f", "sibling.m"], "child", [["child"]], 5])
+def test_load_bank_malformed_key_names_the_form(tmp_path, key):
+    path = write_bank(tmp_path, json.dumps({"id": "t1", "key": key, "text": "[ENT_0] [ENT_1]"}))
+    form = r":1: key must be a list of \[predicate, gender\] pairs"
+    with pytest.raises(BankFormatError, match=form):
+        load_bank(path, RB)
 
 
 def test_leak_warning_on_head_surface(tmp_path):
